@@ -3,7 +3,8 @@ verification of the published closed forms, and cubic-circulant
 decomposition reports.
 
 Exit codes: 0 success, 1 a computed value contradicts a closed form (or a
-structural verification failed), 2 invalid input or out-of-tier request.
+structural verification failed, or a verify-paper row raised), 2 invalid
+input or out-of-tier request.
 """
 
 from __future__ import annotations
@@ -12,22 +13,21 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Collection
 
 from .formulas import FormulaReport, FormulaUnavailable, formula_for_spec
 from .graphs import (
-    CompleteSpec,
-    CubicCirculantSpec,
-    CycleSpec,
     DecompositionError,
+    Graph,
+    GraphSpec,
     GraphSpecError,
     LadderSpec,
-    PathSpec,
-    StarSpec,
     build_graph,
     davis_domke_decompose,
     moebius_ladder,
@@ -48,7 +48,7 @@ from .homology import (
     oracle_invariants,
     resolve_workers,
 )
-from .ideals import verify_colon_decomposition
+from .ideals import edge_ideal, verify_colon_decomposition
 from .sdepth import POSET_VAR_CAP, SdepthResult, sdepth_exact
 
 CSV_COLUMNS = (
@@ -100,6 +100,49 @@ class VerificationRow:
 
     def json_obj(self) -> dict:
         return {col: getattr(self, col) for col in CSV_COLUMNS}
+
+
+ALL_ROUTES = ("formula", "oracle", "sdepth")
+ORACLE_ROUTES = ("formula", "oracle")
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """What the requested routes computed for one graph, and the verdict on it."""
+
+    formula: FormulaReport | None
+    oracle: InvariantReport | None
+    solver: SdepthResult | None
+    verdict: str
+
+
+def evaluate(
+    spec: GraphSpec,
+    g: Graph,
+    routes: Collection[str],
+    field: FieldSpec,
+    budget: float | None,
+) -> Evaluation:
+    """Run the routes ('formula', 'oracle', 'sdepth') on ``g`` and compare them.
+
+    Raises FormulaUnavailable when 'formula' is a route and the spec has no
+    closed form.  Without the formula route the closed form, when there is
+    one, still gives the sdepth solver its starting floor.  The oracle takes
+    its worker count from CIRC_THREADS.
+    """
+    try:
+        closed = formula_for_spec(spec) if {"formula", "sdepth"} & set(routes) else None
+    except FormulaUnavailable:
+        if "formula" in routes:
+            raise
+        closed = None
+    formula = closed if "formula" in routes else None
+    oracle = oracle_invariants(g, field) if "oracle" in routes else None
+    solver = None
+    if "sdepth" in routes:
+        floor = closed.sdepth.lo if closed is not None else 0
+        solver = sdepth_exact(edge_ideal(g), time_budget=budget, floor=floor)
+    return Evaluation(formula, oracle, solver, _verdict(formula, oracle, solver))
 
 
 def _verdict(
@@ -165,59 +208,41 @@ def cmd_invariants(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    formula: FormulaReport | None = None
-    oracle: InvariantReport | None = None
-    solver: SdepthResult | None = None
-    field_spec: FieldSpec = _FIELDS[cfg.field]
-
-    if cfg.method in ("formula", "all"):
-        try:
-            formula = formula_for_spec(spec)
-        except FormulaUnavailable as exc:
-            if cfg.method == "formula":
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-
-    if cfg.method in ("oracle", "all"):
+    routes = set(ALL_ROUTES) if cfg.method == "all" else {cfg.method}
+    if "oracle" in routes:
         err = _oracle_tier_error(g.num_vertices, cfg.slow)
         if err:
             if cfg.method == "oracle":
                 print(f"error: {err}", file=sys.stderr)
                 return 2
             print(f"note: oracle skipped: {err}", file=sys.stderr)
-        else:
-            oracle = oracle_invariants(g, field_spec)
+            routes.discard("oracle")
+    if "sdepth" in routes and g.num_vertices > POSET_VAR_CAP:
+        msg = (
+            f"{g.num_vertices} variables exceeds the sdepth solver cap "
+            f"of {POSET_VAR_CAP}"
+        )
+        if cfg.method == "sdepth":
+            print(f"error: {msg}", file=sys.stderr)
+            return 2
+        print(f"note: sdepth solver skipped: {msg}", file=sys.stderr)
+        routes.discard("sdepth")
 
-    if cfg.method in ("sdepth", "all"):
-        if g.num_vertices > POSET_VAR_CAP:
-            msg = (
-                f"{g.num_vertices} variables exceeds the sdepth solver cap "
-                f"of {POSET_VAR_CAP}"
-            )
-            if cfg.method == "sdepth":
-                print(f"error: {msg}", file=sys.stderr)
-                return 2
-            print(f"note: sdepth solver skipped: {msg}", file=sys.stderr)
-        else:
-            from .ideals import edge_ideal
-
-            if formula is not None:
-                floor = formula.sdepth.lo
-            else:
-                try:
-                    floor = formula_for_spec(spec).sdepth.lo
-                except FormulaUnavailable:
-                    floor = 0
-            solver = sdepth_exact(
-                edge_ideal(g), time_budget=cfg.budget_seconds, floor=floor
-            )
-
-    verdict = _verdict(formula, oracle, solver)
+    field_spec = _FIELDS[cfg.field]
+    try:
+        result = evaluate(spec, g, routes, field_spec, cfg.budget_seconds)
+    except FormulaUnavailable as exc:
+        if cfg.method == "formula":
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # with --method all the closed form is reported only when there is one
+        routes.discard("formula")
+        result = evaluate(spec, g, routes, field_spec, cfg.budget_seconds)
     seconds = round(time.perf_counter() - t0, 3)
-    payload = _invariants_payload(cfg, spec, g, formula, oracle, solver, seconds)
-    text = _render_invariants(cfg, spec, g, formula, oracle, solver, verdict, payload)
+    payload = _invariants_payload(cfg, spec, g, result, seconds)
+    text = _render_invariants(cfg, spec, g, result, payload)
     _emit(text, cfg.out)
-    return 1 if (cfg.method == "all" and verdict == "MISMATCH") else 0
+    return 1 if (cfg.method == "all" and result.verdict == "MISMATCH") else 0
 
 
 def _sdepth_json(formula, solver):
@@ -233,7 +258,8 @@ def _sdepth_json(formula, solver):
     return None
 
 
-def _invariants_payload(cfg, spec, g, formula, oracle, solver, seconds):
+def _invariants_payload(cfg, spec, g, result: Evaluation, seconds):
+    formula, oracle = result.formula, result.oracle
     if oracle is not None:
         depth, pdim, reg = oracle.depth, oracle.pdim, oracle.reg
     elif formula is not None:
@@ -250,7 +276,7 @@ def _invariants_payload(cfg, spec, g, formula, oracle, solver, seconds):
             "depth": depth,
             "pdim": pdim,
             "reg": reg,
-            "sdepth": _sdepth_json(formula, solver),
+            "sdepth": _sdepth_json(formula, result.solver),
         },
         "provenance": {
             "method": cfg.method,
@@ -261,15 +287,13 @@ def _invariants_payload(cfg, spec, g, formula, oracle, solver, seconds):
     }
 
 
-def _render_invariants(cfg, spec, g, formula, oracle, solver, verdict, payload):
+def _render_invariants(cfg, spec, g, result: Evaluation, payload):
     if cfg.fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if cfg.fmt == "csv":
-        row = _row_from_parts(
-            spec_kind_name(spec), _spec_params(spec), formula, oracle, solver, verdict,
-            payload["seconds"],
-        )
+        row = _row_from_parts(spec.kind, spec.params(), result, payload["seconds"])
         return _rows_to_csv([row])
+    formula, oracle, solver = result.formula, result.oracle, result.solver
     lines = [
         f"graph {spec_to_string(spec)} ({spec_display_name(spec)}): "
         f"{g.num_vertices} vertices, {g.edge_count} edges"
@@ -288,35 +312,9 @@ def _render_invariants(cfg, spec, g, formula, oracle, solver, verdict, payload):
         tag = "exact" if solver.is_exact else "lower bound (budget exhausted)"
         lines.append(f"sdepth solver: {solver.value} ({tag})")
     if cfg.method == "all":
-        lines.append(f"verdict: {verdict}")
+        lines.append(f"verdict: {result.verdict}")
     lines.append(f"seconds: {payload['seconds']}")
     return "\n".join(lines) + "\n"
-
-
-def spec_kind_name(spec) -> str:
-    if isinstance(spec, PathSpec):
-        return "path"
-    if isinstance(spec, CycleSpec):
-        return "cycle"
-    if isinstance(spec, StarSpec):
-        return "star"
-    if isinstance(spec, CompleteSpec):
-        return "complete"
-    if isinstance(spec, LadderSpec):
-        return f"ladder{spec.family}"
-    if isinstance(spec, CubicCirculantSpec):
-        return "cubic"
-    return spec_to_string(spec).split(":", 1)[0]
-
-
-def _spec_params(spec) -> str:
-    if isinstance(spec, (PathSpec, CycleSpec, StarSpec, CompleteSpec)):
-        return f"q={spec.q}"
-    if isinstance(spec, LadderSpec):
-        return f"n={spec.n}"
-    if isinstance(spec, CubicCirculantSpec):
-        return f"n={spec.n},a={spec.a}"
-    return spec_to_string(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -326,51 +324,39 @@ def _spec_params(spec) -> str:
 
 @dataclass(frozen=True)
 class RowTask:
-    kind: str  # invariant | sdepth | davis-domke | colon
+    kind: str  # invariant | davis-domke | colon
     family: str
     params: str
     spec: str = ""
     n: int = 0
     a: int = 0
     pivot: str = ""
+    routes: tuple[str, ...] = ()
 
 
 def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
     tasks: list[RowTask] = []
 
-    def spec_ok(spec) -> bool:
-        nv = build_graph(spec).num_vertices
-        if nv > ORACLE_VERTEX_CAP:
-            return False
-        return slow or nv < SLOW_TIER_MIN
+    def add(family: str, text: str, routes=ORACLE_ROUTES, params: str = "") -> None:
+        spec = parse_graph_spec(text)
+        if _oracle_tier_error(build_graph(spec).num_vertices, slow) is None:
+            tasks.append(
+                RowTask("invariant", family, params or spec.params(), text, routes=routes)
+            )
 
-    for q in range(2, 8):
-        tasks.append(RowTask("invariant", "path", f"q={q}", f"path:{q}"))
-    for q in range(3, 8):
-        tasks.append(RowTask("invariant", "cycle", f"q={q}", f"cycle:{q}"))
-    for q in range(2, 8):
-        tasks.append(RowTask("invariant", "star", f"q={q}", f"star:{q}"))
-    for q in range(2, 8):
-        tasks.append(RowTask("invariant", "complete", f"q={q}", f"complete:{q}"))
+    for kind, low in (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)):
+        for q in range(low, 8):
+            add(kind, f"{kind}:{q}")
     for fam in "ABCD":
         for n in range(2, max_n + 1):
-            spec = LadderSpec(fam, n)
-            if spec_ok(spec):
-                tasks.append(
-                    RowTask("invariant", f"ladder{fam}", f"n={n}", spec_to_string(spec))
-                )
+            add(f"ladder{fam}", f"ladder{fam}:{n}")
     for n in range(2, max_n + 1):
-        if spec_ok(CubicCirculantSpec(n, 1)):
-            tasks.append(RowTask("invariant", "cubic1n", f"n={n}", f"cubic:{n}:1"))
+        add("cubic1n", f"cubic:{n}:1", params=f"n={n}")
     for n in range(3, max_n + 1, 2):
-        if spec_ok(CubicCirculantSpec(n, 2)):
-            tasks.append(RowTask("invariant", "cubic2n", f"n={n}", f"cubic:{n}:2"))
+        add("cubic2n", f"cubic:{n}:2", params=f"n={n}")
     for n in range(2, max_n + 1):
         for a in range(1, n):
-            if spec_ok(CubicCirculantSpec(n, a)):
-                tasks.append(
-                    RowTask("invariant", "cubic", f"n={n},a={a}", f"cubic:{n}:{a}")
-                )
+            add("cubic", f"cubic:{n}:{a}")
     for n in range(2, max_n + 1):
         for a in range(1, n):
             tasks.append(RowTask("davis-domke", "davis-domke", f"n={n},a={a}", n=n, a=a))
@@ -385,26 +371,24 @@ def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
             tasks.append(
                 RowTask("colon", "colon-cubic2n", f"n={n}", spec="prism", n=n, pivot=f"y{n}")
             )
-    for q in range(2, 7):
-        tasks.append(RowTask("sdepth", "sdepth-path", f"q={q}", f"path:{q}"))
-    for q in range(3, 8):
-        tasks.append(RowTask("sdepth", "sdepth-cycle", f"q={q}", f"cycle:{q}"))
-    for q in range(2, 7):
-        tasks.append(RowTask("sdepth", "sdepth-star", f"q={q}", f"star:{q}"))
-    for q in range(2, 6):
-        tasks.append(RowTask("sdepth", "sdepth-complete", f"q={q}", f"complete:{q}"))
-    for n in range(0, 4):
-        tasks.append(RowTask("sdepth", "sdepth-ladderB", f"n={n}", f"ladderB:{n}"))
+    for kind, low, high in (
+        ("path", 2, 6),
+        ("cycle", 3, 7),
+        ("star", 2, 6),
+        ("complete", 2, 5),
+        ("ladderB", 0, 3),
+    ):
+        for q in range(low, high + 1):
+            add(f"sdepth-{kind}", f"{kind}:{q}", ALL_ROUTES)
     for n in range(2, min(max_n, 5) + 1):
         for a in range(1, n):
-            tasks.append(
-                RowTask("sdepth", "sdepth-cubic", f"n={n},a={a}", f"cubic:{n}:{a}")
-            )
+            add("sdepth-cubic", f"cubic:{n}:{a}", ALL_ROUTES)
     return tasks
 
 
-def _row_from_parts(family, params, formula, oracle, solver, verdict, seconds):
-    row = VerificationRow(family=family, params=params)
+def _row_from_parts(family, params, result: Evaluation, seconds):
+    row = VerificationRow(family=family, params=params, verdict=result.verdict)
+    formula, oracle, solver = result.formula, result.oracle, result.solver
     if formula is not None:
         row.depth_formula = str(formula.depth)
         row.pdim_formula = str(formula.pdim)
@@ -416,38 +400,20 @@ def _row_from_parts(family, params, formula, oracle, solver, verdict, seconds):
         row.pdim_oracle = str(oracle.pdim)
     if solver is not None and solver.is_exact:
         row.sdepth_exact = str(solver.value)
-    row.verdict = verdict
     row.seconds = f"{seconds:.3f}"
     return row
 
 
 def _run_row(task: RowTask, field_char: int, budget: float | None) -> VerificationRow:
     t0 = time.perf_counter()
-    field_spec = FieldSpec(field_char)
     try:
         if task.kind == "invariant":
             spec = parse_graph_spec(task.spec)
-            formula = formula_for_spec(spec)
-            oracle = oracle_invariants(build_graph(spec), field_spec, workers=1)
-            verdict = _verdict(formula, oracle, None)
-            return _row_from_parts(
-                task.family, task.params, formula, oracle, None, verdict,
-                time.perf_counter() - t0,
+            result = evaluate(
+                spec, build_graph(spec), task.routes, FieldSpec(field_char), budget
             )
-        if task.kind == "sdepth":
-            from .ideals import edge_ideal
-
-            spec = parse_graph_spec(task.spec)
-            g = build_graph(spec)
-            formula = formula_for_spec(spec)
-            oracle = oracle_invariants(g, field_spec, workers=1)
-            solver = sdepth_exact(
-                edge_ideal(g), time_budget=budget, floor=formula.sdepth.lo
-            )
-            verdict = _verdict(formula, oracle, solver)
             return _row_from_parts(
-                task.family, task.params, formula, oracle, solver, verdict,
-                time.perf_counter() - t0,
+                task.family, task.params, result, time.perf_counter() - t0
             )
         if task.kind == "davis-domke":
             try:
@@ -482,11 +448,11 @@ def _run_row(task: RowTask, field_char: int, budget: float | None) -> Verificati
             )
             return row
         raise ValueError(f"unknown row kind {task.kind}")
-    except Exception as exc:  # a row failure is a finding, not a crash
+    except Exception as exc:  # a crashed row is reported, and the table goes on
         return VerificationRow(
             family=task.family,
             params=task.params,
-            verdict="MISMATCH",
+            verdict="ERROR",
             theorem=f"error: {exc}",
             seconds=f"{time.perf_counter() - t0:.3f}",
         )
@@ -512,11 +478,12 @@ def cmd_verify_paper(
     workers = resolve_workers(None)
     runner = partial(_run_row, field_char=_FIELDS[field].characteristic, budget=budget)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_serial_oracle) as pool:
             rows = list(pool.map(runner, tasks))
     else:
         rows = [runner(t) for t in tasks]
     mismatches = sum(r.verdict == "MISMATCH" for r in rows)
+    errors = sum(r.verdict == "ERROR" for r in rows)
 
     if fmt == "csv":
         text = _rows_to_csv(rows)
@@ -547,7 +514,12 @@ def cmd_verify_paper(
         lines.append(f"rows: {len(rows)}, mismatches: {mismatches}")
         text = "\n".join(lines) + "\n"
     _emit(text, out)
-    return 1 if mismatches else 0
+    return 1 if mismatches or errors else 0
+
+
+def _serial_oracle() -> None:
+    # rows already run in parallel, so each row's oracle enumerates subsets alone
+    os.environ["CIRC_THREADS"] = "1"
 
 
 def _rows_to_csv(rows) -> str:

@@ -134,12 +134,11 @@ def base_family_invariants(
         q = spec.q
         if q < 2:
             raise FormulaUnavailable("needs q >= 2")
-        name = "star" if isinstance(spec, StarSpec) else "complete"
         return FormulaReport(
             depth=FormulaValue.exact(1),
             sdepth=FormulaValue.exact(1),
             pdim=FormulaValue.exact(q - 1),
-            source=f"{name} q={q}: depth=sdepth=1",
+            source=f"{spec.kind} q={q}: depth=sdepth=1",
             ambient_vars=q,
         )
     raise FormulaUnavailable(f"no base-family formula for {spec!r}")

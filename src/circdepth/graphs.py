@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union
 
 MAX_ISO_VERTICES = 24
 
@@ -113,49 +113,100 @@ def graph_from_edges(labels: Sequence[str], edges: Sequence[tuple[int, int]]) ->
 
 # ---------------------------------------------------------------------------
 # Graph specs (closed family grammar)
+#
+# Each spec class defines one family: its parameters and their checks, its
+# kind token, its spec string, display name and CSV ``params`` cell, and its
+# graph builder.  ``parse(kind, body)`` reads the text after ``kind:`` and
+# returns None when its shape is wrong.  Adding a family means writing one
+# class and listing it in GraphSpec and _SPEC_KINDS.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise GraphSpecError("path needs q >= 1")
+def _x_labels(q: int) -> list[str]:
+    return [f"x{i}" for i in range(1, q + 1)]
 
 
 @dataclass(frozen=True)
-class CycleSpec:
+class _OrderSpec:
+    """A family with one member per vertex count q, labeled x1..xq.
+
+    Subclasses name the family and give its edge list in ``edges()``.
+    """
+
     q: int
 
+    kind: ClassVar[str]
+    symbol: ClassVar[str]  # display name prefix, as in P_5
+    noun: ClassVar[str]
+    min_q: ClassVar[int]
+
     def __post_init__(self) -> None:
-        if self.q < 3:
-            raise GraphSpecError("cycle needs q >= 3")
+        if self.q < self.min_q:
+            raise GraphSpecError(f"{self.noun} needs q >= {self.min_q}")
+
+    @classmethod
+    def parse(cls, kind: str, body: str) -> GraphSpec | None:
+        return None if ":" in body else cls(int(body))
+
+    def to_string(self) -> str:
+        return f"{self.kind}:{self.q}"
+
+    def display_name(self) -> str:
+        return f"{self.symbol}_{self.q}"
+
+    def params(self) -> str:
+        return f"q={self.q}"
+
+    def build(self) -> Graph:
+        return graph_from_edges(_x_labels(self.q), self.edges())
 
 
 @dataclass(frozen=True)
-class StarSpec:
-    q: int
+class PathSpec(_OrderSpec):
+    kind, symbol, noun, min_q = "path", "P", "path", 1
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise GraphSpecError("star needs q >= 2")
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, i + 1) for i in range(self.q - 1)]
 
 
 @dataclass(frozen=True)
-class CompleteSpec:
-    q: int
+class CycleSpec(_OrderSpec):
+    kind, symbol, noun, min_q = "cycle", "C", "cycle", 3
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise GraphSpecError("complete graph needs q >= 1")
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, (i + 1) % self.q) for i in range(self.q)]
+
+
+@dataclass(frozen=True)
+class StarSpec(_OrderSpec):
+    kind, symbol, noun, min_q = "star", "S", "star", 2
+
+    def edges(self) -> list[tuple[int, int]]:
+        # center x1, q-1 leaves
+        return [(0, i) for i in range(1, self.q)]
+
+
+@dataclass(frozen=True)
+class CompleteSpec(_OrderSpec):
+    kind, symbol, noun, min_q = "complete", "K", "complete graph", 1
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, j) for i in range(self.q) for j in range(i + 1, self.q)]
+
+
+def _circulant(q: int, shifts: tuple[int, ...]) -> Graph:
+    # an edge met twice (shift q/2) sets the same adjacency bits again
+    return graph_from_edges(
+        _x_labels(q), [(i, (i + s) % q) for i in range(q) for s in shifts]
+    )
 
 
 @dataclass(frozen=True)
 class CirculantSpec:
     q: int
     shifts: tuple[int, ...]
+
+    kind: ClassVar[str] = "circulant"
 
     def __post_init__(self) -> None:
         if self.q < 2:
@@ -169,6 +220,25 @@ class CirculantSpec:
             )
         object.__setattr__(self, "shifts", shifts)
 
+    @classmethod
+    def parse(cls, kind: str, body: str) -> GraphSpec | None:
+        fields = body.split(":")
+        if len(fields) != 2:
+            return None
+        return cls(int(fields[0]), tuple(int(t) for t in fields[1].split(",")))
+
+    def to_string(self) -> str:
+        return f"{self.kind}:{self.q}:{','.join(map(str, self.shifts))}"
+
+    def display_name(self) -> str:
+        return f"C_{self.q}({','.join(map(str, self.shifts))})"
+
+    def params(self) -> str:
+        return self.to_string()
+
+    def build(self) -> Graph:
+        return _circulant(self.q, self.shifts)
+
 
 @dataclass(frozen=True)
 class CubicCirculantSpec:
@@ -177,12 +247,40 @@ class CubicCirculantSpec:
     n: int
     a: int
 
+    kind: ClassVar[str] = "cubic"
+
     def __post_init__(self) -> None:
         if self.n < 2:
             raise GraphSpecError("cubic circulant needs n >= 2")
         if not 1 <= self.a < self.n:
             # a = n degenerates to a multigraph matching; rejected outright.
             raise GraphSpecError("cubic circulant needs 1 <= a < n")
+
+    @classmethod
+    def parse(cls, kind: str, body: str) -> GraphSpec | None:
+        fields = body.split(":")
+        return cls(int(fields[0]), int(fields[1])) if len(fields) == 2 else None
+
+    def to_string(self) -> str:
+        return f"{self.kind}:{self.n}:{self.a}"
+
+    def display_name(self) -> str:
+        return f"C_{2 * self.n}({self.a},{self.n})"
+
+    def params(self) -> str:
+        return f"n={self.n},a={self.a}"
+
+    def build(self) -> Graph:
+        return _circulant(2 * self.n, (self.a, self.n))
+
+
+def _ladder_edges(n: int) -> list[tuple[str, str]]:
+    # x1..xn bottom row, y1..yn top row, rung at every column
+    edges: list[tuple[str, str]] = []
+    for i in range(1, n):
+        edges += [(f"x{i}", f"y{i}"), (f"x{i}", f"x{i+1}"), (f"y{i}", f"y{i+1}")]
+    edges.append((f"x{n}", f"y{n}"))
+    return edges
 
 
 @dataclass(frozen=True)
@@ -199,15 +297,83 @@ class LadderSpec:
         if self.n < low:
             raise GraphSpecError(f"ladder {self.family} needs n >= {low}")
 
+    @property
+    def kind(self) -> str:
+        return f"ladder{self.family}"
+
+    @classmethod
+    def parse(cls, kind: str, body: str) -> GraphSpec | None:
+        return None if ":" in body else cls(kind[-1], int(body))
+
+    def to_string(self) -> str:
+        return f"{self.kind}:{self.n}"
+
+    def display_name(self) -> str:
+        return f"{self.family}_{self.n}"
+
+    def params(self) -> str:
+        return f"n={self.n}"
+
+    def build(self) -> Graph:
+        family, n = self.family, self.n
+        if family == "B" and n == 0:
+            return graph_from_edges(["y1"], [])
+        labels = _x_labels(n) + [f"y{i}" for i in range(1, n + 1)]
+        edges = _ladder_edges(n)
+        if family == "B":
+            labels.append(f"y{n+1}")
+            edges.append((f"y{n}", f"y{n+1}"))
+        elif family == "C":
+            labels += [f"y{n+1}", f"y{n+2}"]
+            edges += [(f"y{n}", f"y{n+1}"), ("y1", f"y{n+2}")]
+        elif family == "D":
+            labels.insert(n, f"x{n+1}")
+            labels.append(f"y{n+1}")
+            edges += [(f"y{n}", f"y{n+1}"), ("x1", f"x{n+1}")]
+        index = {lab: i for i, lab in enumerate(labels)}
+        return graph_from_edges(labels, [(index[u], index[v]) for u, v in edges])
+
 
 @dataclass(frozen=True)
 class UnionSpec:
     parts: tuple["GraphSpec", ...]
 
+    kind: ClassVar[str] = "union"
+
     def __post_init__(self) -> None:
         if not self.parts:
             raise GraphSpecError("union needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
+
+    @classmethod
+    def parse(cls, kind: str, body: str) -> GraphSpec | None:
+        if not (body.startswith("(") and body.endswith(")")):
+            raise GraphSpecError(f"union spec needs parentheses: {kind + ':' + body!r}")
+        parts, depth, cur = [], 0, []
+        for ch in body[1:-1]:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            if ch == ";" and depth == 0:
+                parts.append("".join(cur))
+                cur = []
+            else:
+                cur.append(ch)
+        parts.append("".join(cur))
+        return cls(tuple(parse_graph_spec(p) for p in parts))
+
+    def to_string(self) -> str:
+        return f"{self.kind}:(" + ";".join(p.to_string() for p in self.parts) + ")"
+
+    def display_name(self) -> str:
+        return " + ".join(p.display_name() for p in self.parts)
+
+    def params(self) -> str:
+        return self.to_string()
+
+    def build(self) -> Graph:
+        return disjoint_union([p.build() for p in self.parts])
 
 
 GraphSpec = Union[
@@ -221,88 +387,16 @@ GraphSpec = Union[
     UnionSpec,
 ]
 
-
-def _x_labels(q: int) -> list[str]:
-    return [f"x{i}" for i in range(1, q + 1)]
-
-
-def _path(q: int) -> Graph:
-    return graph_from_edges(_x_labels(q), [(i, i + 1) for i in range(q - 1)])
-
-
-def _cycle(q: int) -> Graph:
-    return graph_from_edges(_x_labels(q), [(i, (i + 1) % q) for i in range(q)])
-
-
-def _star(q: int) -> Graph:
-    # center x1, q-1 leaves
-    return graph_from_edges(_x_labels(q), [(0, i) for i in range(1, q)])
-
-
-def _complete(q: int) -> Graph:
-    return graph_from_edges(
-        _x_labels(q), [(i, j) for i in range(q) for j in range(i + 1, q)]
-    )
-
-
-def _circulant(q: int, shifts: tuple[int, ...]) -> Graph:
-    edges = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            d = j - i
-            if d in shifts or q - d in shifts:
-                edges.append((i, j))
-    return graph_from_edges(_x_labels(q), edges)
-
-
-def _ladder_edges(n: int) -> list[tuple[str, str]]:
-    # x1..xn bottom row, y1..yn top row, rung at every column
-    edges: list[tuple[str, str]] = []
-    for i in range(1, n):
-        edges += [(f"x{i}", f"y{i}"), (f"x{i}", f"x{i+1}"), (f"y{i}", f"y{i+1}")]
-    edges.append((f"x{n}", f"y{n}"))
-    return edges
-
-
-def _ladder(family: str, n: int) -> Graph:
-    if family == "B" and n == 0:
-        return graph_from_edges(["y1"], [])
-    labels = _x_labels(n) + [f"y{i}" for i in range(1, n + 1)]
-    edges = _ladder_edges(n)
-    if family == "B":
-        labels.append(f"y{n+1}")
-        edges.append((f"y{n}", f"y{n+1}"))
-    elif family == "C":
-        labels += [f"y{n+1}", f"y{n+2}"]
-        edges += [(f"y{n}", f"y{n+1}"), ("y1", f"y{n+2}")]
-    elif family == "D":
-        labels.insert(n, f"x{n+1}")
-        labels.append(f"y{n+1}")
-        edges += [(f"y{n}", f"y{n+1}"), ("x1", f"x{n+1}")]
-    index = {lab: i for i, lab in enumerate(labels)}
-    return graph_from_edges(labels, [(index[u], index[v]) for u, v in edges])
+_SPEC_KINDS: dict[str, type] = {
+    **{cls.kind: cls for cls in (PathSpec, CycleSpec, StarSpec, CompleteSpec,
+                                 CirculantSpec, CubicCirculantSpec, UnionSpec)},
+    **{f"ladder{family}": LadderSpec for family in "ABCD"},
+}
 
 
 def build_graph(spec: GraphSpec) -> Graph:
     """Construct the labeled graph a spec describes."""
-    match spec:
-        case PathSpec(q):
-            return _path(q)
-        case CycleSpec(q):
-            return _cycle(q)
-        case StarSpec(q):
-            return _star(q)
-        case CompleteSpec(q):
-            return _complete(q)
-        case CirculantSpec(q, shifts):
-            return _circulant(q, shifts)
-        case CubicCirculantSpec(n, a):
-            return _circulant(2 * n, (a, n))
-        case LadderSpec(family, n):
-            return _ladder(family, n)
-        case UnionSpec(parts):
-            return disjoint_union([build_graph(p) for p in parts])
-    raise GraphSpecError(f"unknown graph spec {spec!r}")
+    return spec.build()
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -368,89 +462,27 @@ _GRAMMAR = (
 
 def parse_graph_spec(text: str) -> GraphSpec:
     """Parse the spec grammar used by the CLI and JSON reports."""
-    s = text.strip()
-    if s.startswith("union:"):
-        body = s[len("union:"):]
-        if not (body.startswith("(") and body.endswith(")")):
-            raise GraphSpecError(f"union spec needs parentheses: {text!r}")
-        parts, depth, cur = [], 0, []
-        for ch in body[1:-1]:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == ";" and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-        parts.append("".join(cur))
-        return UnionSpec(tuple(parse_graph_spec(p) for p in parts))
-
-    fields = s.split(":")
-    kind = fields[0]
+    kind, sep, body = text.strip().partition(":")
+    cls = _SPEC_KINDS.get(kind) if sep else None
     try:
-        if kind in ("path", "cycle", "star", "complete") and len(fields) == 2:
-            q = int(fields[1])
-            cls = {"path": PathSpec, "cycle": CycleSpec,
-                   "star": StarSpec, "complete": CompleteSpec}[kind]
-            return cls(q)
-        if kind == "circulant" and len(fields) == 3:
-            q = int(fields[1])
-            shifts = tuple(int(t) for t in fields[2].split(","))
-            return CirculantSpec(q, shifts)
-        if kind == "cubic" and len(fields) == 3:
-            return CubicCirculantSpec(int(fields[1]), int(fields[2]))
-        if kind in ("ladderA", "ladderB", "ladderC", "ladderD") and len(fields) == 2:
-            return LadderSpec(kind[-1], int(fields[1]))
+        spec = cls.parse(kind, body) if cls is not None else None
     except GraphSpecError:
         raise
     except ValueError as exc:
         raise GraphSpecError(f"bad number in graph spec {text!r}: {exc}") from None
-    raise GraphSpecError(f"cannot parse graph spec {text!r}; grammar: {_GRAMMAR}")
+    if spec is None:
+        raise GraphSpecError(f"cannot parse graph spec {text!r}; grammar: {_GRAMMAR}")
+    return spec
 
 
 def spec_to_string(spec: GraphSpec) -> str:
-    match spec:
-        case PathSpec(q):
-            return f"path:{q}"
-        case CycleSpec(q):
-            return f"cycle:{q}"
-        case StarSpec(q):
-            return f"star:{q}"
-        case CompleteSpec(q):
-            return f"complete:{q}"
-        case CirculantSpec(q, shifts):
-            return f"circulant:{q}:{','.join(map(str, shifts))}"
-        case CubicCirculantSpec(n, a):
-            return f"cubic:{n}:{a}"
-        case LadderSpec(family, n):
-            return f"ladder{family}:{n}"
-        case UnionSpec(parts):
-            return "union:(" + ";".join(spec_to_string(p) for p in parts) + ")"
-    raise GraphSpecError(f"unknown graph spec {spec!r}")
+    """The spec's string form in the grammar parse_graph_spec reads."""
+    return spec.to_string()
 
 
 def spec_display_name(spec: GraphSpec) -> str:
     """Mathematical display name, e.g. C_10(2,5) or A_4."""
-    match spec:
-        case PathSpec(q):
-            return f"P_{q}"
-        case CycleSpec(q):
-            return f"C_{q}"
-        case StarSpec(q):
-            return f"S_{q}"
-        case CompleteSpec(q):
-            return f"K_{q}"
-        case CirculantSpec(q, shifts):
-            return f"C_{q}({','.join(map(str, shifts))})"
-        case CubicCirculantSpec(n, a):
-            return f"C_{2*n}({a},{n})"
-        case LadderSpec(family, n):
-            return f"{family}_{n}"
-        case UnionSpec(parts):
-            return " + ".join(spec_display_name(p) for p in parts)
-    raise GraphSpecError(f"unknown graph spec {spec!r}")
+    return spec.display_name()
 
 
 # ---------------------------------------------------------------------------

@@ -142,51 +142,33 @@ def _rank_gf2(columns: SparseColumns) -> int:
 
 
 def _rank_mod_p(columns: SparseColumns, p: int) -> int:
+    """Rank over GF(p), or over the rationals when p == 0 (as in FieldSpec).
+
+    Columns are (row, entry) lists with distinct rows and entries +-1, which
+    are nonzero in every field; they are reduced mod p as they are updated.
+    """
     # sparse column reduction: keep one normalized column per pivot row
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for col in columns:
-        cur = {row: sign % p for row, sign in col}
+        cur = dict(col)
         while cur:
             piv = max(cur)
             other = pivots.get(piv)
             if other is None:
-                inv = pow(cur[piv], p - 2, p)
-                pivots[piv] = {r: (c * inv) % p for r, c in cur.items()}
+                inv = pow(cur[piv], p - 2, p) if p else Fraction(1, cur[piv])
+                pivots[piv] = {r: (c * inv) % p if p else c * inv for r, c in cur.items()}
                 rank += 1
                 break
             f = cur[piv]
             for r, c in other.items():
-                v = (cur.get(r, 0) - f * c) % p
+                v = cur.get(r, 0) - f * c
+                if p:
+                    v %= p
                 if v:
                     cur[r] = v
                 else:
                     cur.pop(r, None)
-    return rank
-
-
-def _rank_rational(nrows: int, columns: SparseColumns) -> int:
-    ncols = len(columns)
-    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for row, sign in col:
-            mat[row][j] = Fraction(sign)
-    rank = 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, nrows) if mat[i][j]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][j]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(rank + 1, nrows):
-            f = mat[i][j]
-            if f:
-                row = mat[rank]
-                mat[i] = [a - f * b for a, b in zip(mat[i], row)]
-        rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
@@ -212,8 +194,6 @@ def _boundary_rank(lower: Sequence[int], upper: Sequence[int], field: FieldSpec)
     columns = _boundary_columns(lower, upper)
     if field.characteristic == 2:
         return _rank_gf2(columns)
-    if field.characteristic == 0:
-        return _rank_rational(len(lower), columns)
     return _rank_mod_p(columns, field.characteristic)
 
 

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 
+import pytest
+
+from circdepth import cli
 from circdepth.cli import CSV_COLUMNS, _verdict, main
 from circdepth.formulas import FormulaReport, FormulaValue
 from circdepth.homology import GF32003, InvariantReport
@@ -97,6 +100,37 @@ def test_invariants_csv_columns(capsys):
     assert rows[1][0] == "path"
 
 
+@pytest.mark.parametrize(
+    "spec,family,params",
+    [
+        ("path:4", "path", "q=4"),
+        ("cycle:5", "cycle", "q=5"),
+        ("star:9", "star", "q=9"),
+        ("complete:6", "complete", "q=6"),
+        ("circulant:7:1,3", "circulant", "circulant:7:1,3"),
+        ("cubic:5:2", "cubic", "n=5,a=2"),
+        ("ladderA:3", "ladderA", "n=3"),
+        ("ladderB:0", "ladderB", "n=0"),
+        ("ladderC:2", "ladderC", "n=2"),
+        ("ladderD:4", "ladderD", "n=4"),
+        ("union:(path:2;path:3)", "union", "union:(path:2;path:3)"),
+        (
+            "union:(cubic:3:1;union:(path:2;star:4))",
+            "union",
+            "union:(cubic:3:1;union:(path:2;star:4))",
+        ),
+    ],
+)
+def test_invariants_csv_family_and_params(capsys, spec, family, params):
+    code, out, _ = run_cli(
+        capsys, "invariants", "--graph", spec, "--method", "oracle", "--field", "2",
+        "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][:2] == [family, params]
+
+
 def test_oracle_slow_tier_gate(capsys):
     code, _, err = run_cli(
         capsys, "invariants", "--graph", "ladderC:7", "--method", "oracle"
@@ -148,6 +182,28 @@ def test_verify_paper_json_and_out_file(capsys, tmp_path):
     obj = json.loads(out_file.read_text())
     assert obj["mismatches"] == 0
     assert all(set(r) == set(CSV_COLUMNS) for r in obj["rows"])
+
+
+def test_verify_paper_crashed_row_is_error(capsys, monkeypatch):
+    real = cli.evaluate
+
+    def crash_on_path3(spec, *args):
+        if cli.spec_to_string(spec) == "path:3":
+            raise RuntimeError("boom")
+        return real(spec, *args)
+
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    monkeypatch.setattr(cli, "evaluate", crash_on_path3)
+    code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "2", "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    verdict, theorem = CSV_COLUMNS.index("verdict"), CSV_COLUMNS.index("theorem")
+    errors = [r for r in rows if r[verdict] == "ERROR"]
+    assert [(r[0], r[1], r[theorem]) for r in errors] == [
+        ("path", "q=3", "error: boom"),
+        ("sdepth-path", "q=3", "error: boom"),
+    ]
+    assert "MISMATCH" not in {r[verdict] for r in rows}
 
 
 def test_verify_paper_tier_limits(capsys):

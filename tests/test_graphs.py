@@ -1,8 +1,11 @@
 """Graph construction, components, isomorphism and the gcd-decomposition."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circdepth.graphs import (
     CirculantSpec,
@@ -75,6 +78,20 @@ def test_circulant_regularity(q, shifts):
     g = build_graph(CirculantSpec(q, shifts))
     degree = 2 * len(shifts) - 1 if q == 2 * max(shifts) else 2 * len(shifts)
     assert g.is_regular(degree)
+
+
+def test_circulant_edges_match_distance_rule():
+    # brute force: x_i ~ x_j exactly when their circular distance is a shift
+    for q in range(2, 21):
+        for size in (1, 2):
+            for shifts in combinations(range(1, q // 2 + 1), size):
+                want = {
+                    (i, j)
+                    for i in range(q)
+                    for j in range(i + 1, q)
+                    if min(j - i, q - (j - i)) in shifts
+                }
+                assert set(build_graph(CirculantSpec(q, shifts)).edges()) == want
 
 
 def test_cubic_circulants_are_3_regular():
@@ -227,7 +244,10 @@ def test_spec_grammar_round_trip():
 
 
 def test_spec_grammar_rejects_garbage():
-    for text in ["moon:3", "path", "cubic:5", "circulant:7:", "union:path:2", "path:x"]:
+    for text in [
+        "moon:3", "path", "cubic:5", "circulant:7:", "union:path:2", "path:x",
+        "union:()", "union:(path:2;)", "union:((path:2;path:3)",
+    ]:
         with pytest.raises(GraphSpecError):
             parse_graph_spec(text)
 
@@ -236,3 +256,64 @@ def test_display_names():
     assert spec_display_name(parse_graph_spec("cubic:5:2")) == "C_10(2,5)"
     assert spec_display_name(parse_graph_spec("ladderA:4")) == "A_4"
     assert spec_display_name(parse_graph_spec("circulant:7:1,3")) == "C_7(1,3)"
+
+
+# Every spec kind, with unions nested at most two deep.
+_leaf_specs = st.one_of(
+    st.builds(PathSpec, st.integers(1, 9)),
+    st.builds(CycleSpec, st.integers(3, 9)),
+    st.builds(StarSpec, st.integers(2, 9)),
+    st.builds(CompleteSpec, st.integers(1, 6)),
+    st.integers(2, 12).flatmap(
+        lambda q: st.builds(
+            CirculantSpec,
+            st.just(q),
+            st.lists(st.integers(1, q // 2), min_size=1, max_size=3).map(tuple),
+        )
+    ),
+    st.integers(2, 6).flatmap(
+        lambda n: st.builds(CubicCirculantSpec, st.just(n), st.integers(1, n - 1))
+    ),
+    st.builds(LadderSpec, st.sampled_from("ACD"), st.integers(1, 4)),
+    st.builds(LadderSpec, st.just("B"), st.integers(0, 4)),
+)
+
+
+def _unions(parts):
+    return st.lists(parts, min_size=1, max_size=3).map(lambda ps: UnionSpec(tuple(ps)))
+
+
+_one_deep = _leaf_specs | _unions(_leaf_specs)
+_specs = _one_deep | _unions(_one_deep)
+
+
+@given(_specs)
+@settings(max_examples=200)
+def test_spec_grammar_round_trip_property(spec):
+    text = spec_to_string(spec)
+    assert parse_graph_spec(text) == spec
+    assert spec_to_string(parse_graph_spec(text)) == text
+
+
+@given(st.lists(_specs, min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_union_counts_are_sums_over_parts(parts):
+    g = build_graph(UnionSpec(tuple(parts)))
+    built = [build_graph(p) for p in parts]
+    assert g.num_vertices == sum(h.num_vertices for h in built)
+    assert g.edge_count == sum(h.edge_count for h in built)
+
+
+@given(_unions(_one_deep).map(spec_to_string), st.data())
+@settings(max_examples=200)
+def test_spec_grammar_rejects_malformed_unions(text, data):
+    # drop one parenthesis, double one, or leave an empty part
+    paren = data.draw(st.sampled_from([i for i, ch in enumerate(text) if ch in "()"]))
+    sep = data.draw(st.sampled_from([i for i, ch in enumerate(text) if ch in "(;"]))
+    broken = data.draw(st.sampled_from([
+        text[:paren] + text[paren + 1:],
+        text[:paren] + text[paren] + text[paren:],
+        text[:sep + 1] + ";" + text[sep + 1:],
+    ]))
+    with pytest.raises(GraphSpecError):
+        parse_graph_spec(broken)

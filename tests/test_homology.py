@@ -1,8 +1,11 @@
 """Reduced homology, Hochster Betti tables and the oracle's invariants."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circdepth.graphs import (
     CompleteSpec,
@@ -22,6 +25,7 @@ from circdepth.homology import (
     FieldSpec,
     InvariantReport,
     OracleSizeError,
+    _rank_mod_p,
     cross_field_check,
     hochster_betti_table,
     oracle_invariants,
@@ -72,7 +76,8 @@ def test_closure_validation():
 def test_projective_plane_sees_the_characteristic():
     # the 6-vertex triangulation: closed non-orientable surface, chi = 1, so
     # mod-2 homology has rank 1 in degrees 1 and 2 while rational homology
-    # vanishes; exercises all three rank paths on a torsion example
+    # vanishes; exercises both rank kernels over all three fields on a
+    # torsion example
     triangles = [
         [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
         [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
@@ -85,6 +90,48 @@ def test_projective_plane_sees_the_characteristic():
     assert reduced_homology_dims(faces, GF2) == [0, 0, 1, 1]
     assert reduced_homology_dims(faces, GF32003) == [0, 0, 0, 0]
     assert reduced_homology_dims(faces, RATIONALS) == [0, 0, 0, 0]
+
+
+def _rank_dense_rational(nrows, columns):
+    """Reference rank over QQ: dense Fraction elimination, pivoting by column."""
+    ncols = len(columns)
+    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for row, sign in col:
+            mat[row][j] = Fraction(sign)
+    rank = 0
+    for j in range(ncols):
+        piv = next((i for i in range(rank, nrows) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][j]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for i in range(rank + 1, nrows):
+            f = mat[i][j]
+            if f:
+                row = mat[rank]
+                mat[i] = [a - f * b for a, b in zip(mat[i], row)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+_sign_matrices = st.integers(1, 8).flatmap(
+    lambda nrows: st.lists(
+        st.lists(st.sampled_from((0, 0, 1, -1)), min_size=nrows, max_size=nrows),
+        max_size=10,
+    ).map(lambda cols: (nrows, cols))
+)
+
+
+@given(_sign_matrices)
+@settings(max_examples=300)
+def test_sparse_rational_rank_matches_dense_reference(matrix):
+    nrows, dense_columns = matrix
+    columns = [[(r, x) for r, x in enumerate(col) if x] for col in dense_columns]
+    assert _rank_mod_p(columns, 0) == _rank_dense_rational(nrows, columns)
 
 
 def test_cross_field_disagreement_triggers_arbiter(monkeypatch):
