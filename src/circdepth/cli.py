@@ -45,6 +45,7 @@ from .homology import (
     FieldSpec,
     InvariantReport,
     OracleSizeError,
+    WorkerCountError,
     oracle_invariants,
     resolve_workers,
 )
@@ -618,26 +619,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "invariants":
-        cfg = RunConfig(
-            graph=args.graph,
-            method=args.method,
-            field=args.field,
-            fmt=args.format,
-            budget_seconds=args.budget_seconds,
-            slow=args.slow,
-            out=args.out,
-        )
-        try:
+    try:
+        if args.command == "invariants":
+            cfg = RunConfig(
+                graph=args.graph,
+                method=args.method,
+                field=args.field,
+                fmt=args.format,
+                budget_seconds=args.budget_seconds,
+                slow=args.slow,
+                out=args.out,
+            )
             return cmd_invariants(cfg)
-        except OracleSizeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "verify-paper":
-        return cmd_verify_paper(
-            args.max_n, args.slow, args.format, args.out, args.budget_seconds,
-            args.field,
-        )
+        if args.command == "verify-paper":
+            return cmd_verify_paper(
+                args.max_n, args.slow, args.format, args.out, args.budget_seconds,
+                args.field,
+            )
+    except (OracleSizeError, WorkerCountError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "decompose":
         return cmd_decompose(args.n, args.a, args.format, args.out)
     return 2

@@ -8,6 +8,7 @@ component splits and subset enumeration cheap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
 from typing import ClassVar, Iterator, Sequence, Union
@@ -122,6 +123,16 @@ def graph_from_edges(labels: Sequence[str], edges: Sequence[tuple[int, int]]) ->
 # ---------------------------------------------------------------------------
 
 
+_NUMERAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _number(text: str) -> int:
+    """A spec number: a canonical ASCII decimal numeral, so specs round-trip."""
+    if not _NUMERAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal numeral without sign or leading zeros")
+    return int(text)
+
+
 def _x_labels(q: int) -> list[str]:
     return [f"x{i}" for i in range(1, q + 1)]
 
@@ -146,7 +157,7 @@ class _OrderSpec:
 
     @classmethod
     def parse(cls, kind: str, body: str) -> GraphSpec | None:
-        return None if ":" in body else cls(int(body))
+        return None if ":" in body else cls(_number(body))
 
     def to_string(self) -> str:
         return f"{self.kind}:{self.q}"
@@ -225,7 +236,7 @@ class CirculantSpec:
         fields = body.split(":")
         if len(fields) != 2:
             return None
-        return cls(int(fields[0]), tuple(int(t) for t in fields[1].split(",")))
+        return cls(_number(fields[0]), tuple(_number(t) for t in fields[1].split(",")))
 
     def to_string(self) -> str:
         return f"{self.kind}:{self.q}:{','.join(map(str, self.shifts))}"
@@ -259,7 +270,7 @@ class CubicCirculantSpec:
     @classmethod
     def parse(cls, kind: str, body: str) -> GraphSpec | None:
         fields = body.split(":")
-        return cls(int(fields[0]), int(fields[1])) if len(fields) == 2 else None
+        return cls(_number(fields[0]), _number(fields[1])) if len(fields) == 2 else None
 
     def to_string(self) -> str:
         return f"{self.kind}:{self.n}:{self.a}"
@@ -303,7 +314,7 @@ class LadderSpec:
 
     @classmethod
     def parse(cls, kind: str, body: str) -> GraphSpec | None:
-        return None if ":" in body else cls(kind[-1], int(body))
+        return None if ":" in body else cls(kind[-1], _number(body))
 
     def to_string(self) -> str:
         return f"{self.kind}:{self.n}"

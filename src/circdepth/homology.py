@@ -6,11 +6,15 @@ This module enumerates the 2^q subsets, computes reduced homology by exact
 rank computations over a chosen field, and extracts depth, projective
 dimension and regularity from the resulting table.
 
-Two speedups, both exact:
+Three reductions, all exact over every field:
   * subsets inducing an isolated vertex are skipped (their complex is a cone),
   * per-subset homology factors over connected components (topological join),
-    so each connected piece is computed once and reused.
-A flag disables the first so tests can confirm it changes nothing.
+    so each connected piece is computed once per chunk and reused,
+  * the fold lemma (Engstrom, "Independence complexes of claw-free graphs",
+    2008): if N(u) is contained in N(w) for u != w, then Ind(G) is homotopy
+    equivalent to Ind(G - w), so a component with such a pair is replaced by
+    the smaller graph, which splits and folds again.  Only components with no
+    fold pair reach face enumeration and rank computation.
 """
 
 from __future__ import annotations
@@ -297,33 +301,65 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _fold_vertex(adjacency: Sequence[int], mask: int) -> int | None:
+    """A vertex w of ``mask`` with N(u) <= N(w) in G[mask] for some other u, or None.
+
+    For each u the candidates are the common neighbours of N(u), which are
+    exactly the w whose neighbourhood contains N(u); u itself is excluded.
+    """
+    for u in bits(mask):
+        cand = mask & ~(1 << u)
+        for v in bits(adjacency[u] & mask):
+            cand &= adjacency[v]
+            if not cand:
+                break
+        if cand:
+            return (cand & -cand).bit_length() - 1
+    return None
+
+
+def _mask_homology(
+    adjacency: Sequence[int], mask: int, field: FieldSpec, memo: dict[int, list[int]]
+) -> list[int]:
+    """Reduced homology of Ind(G[mask]) as in _homology_from_faces ([] if acyclic).
+
+    ``mask`` must induce no isolated vertex.  Components are looked up in
+    ``memo`` or computed: a component with a fold pair recurses on itself
+    minus the folded vertex, any other goes to face enumeration and ranks.
+    """
+    hvec = [1]
+    for comp in components_of_mask(adjacency, mask):
+        hv = memo.get(comp)
+        if hv is None:
+            w = _fold_vertex(adjacency, comp)
+            if w is None:
+                hv = _homology_from_faces(_independence_faces_by_size(adjacency, comp), field)
+            else:
+                rest = comp & ~(1 << w)
+                if _has_isolated(adjacency, rest):  # a cone
+                    hv = []
+                else:
+                    hv = _mask_homology(adjacency, rest, field, memo)
+            memo[comp] = hv
+        if not hv:
+            return []
+        hvec = _convolve(hvec, hv)
+    return hvec
+
+
 def _hochster_chunk(
     adjacency: tuple[int, ...],
     lo: int,
     hi: int,
     field: FieldSpec,
-    skip_isolated: bool,
 ) -> dict[tuple[int, int], int]:
     """Accumulate beta_{i,j} contributions of the subset range [lo, hi)."""
     beta: dict[tuple[int, int], int] = {}
     memo: dict[int, list[int]] = {}
     for mask in range(lo, hi):
-        if skip_isolated and _has_isolated(adjacency, mask):
+        if _has_isolated(adjacency, mask):
             continue
-        hvec = [1]
-        for comp in components_of_mask(adjacency, mask):
-            hv = memo.get(comp)
-            if hv is None:
-                hv = _homology_from_faces(
-                    _independence_faces_by_size(adjacency, comp), field
-                )
-                memo[comp] = hv
-            if not hv:
-                hvec = []
-                break
-            hvec = _convolve(hvec, hv)
-        if not hvec:
-            continue
+        hvec = _mask_homology(adjacency, mask, field, memo)
         j = mask.bit_count()
         for s, dim in enumerate(hvec):
             if dim:
@@ -332,22 +368,33 @@ def _hochster_chunk(
     return beta
 
 
+class WorkerCountError(ValueError):
+    """CIRC_THREADS (or a workers argument) is not a positive integer."""
+
+
 def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("CIRC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """Worker count: ``workers`` if given, else CIRC_THREADS, else 1.
+
+    The value must be a positive integer (CIRC_THREADS in ASCII digits) and
+    is capped at os.cpu_count().  An empty CIRC_THREADS counts as unset.
+    """
+    if workers is None:
+        env = os.environ.get("CIRC_THREADS", "")
+        if not env:
+            return 1
+        if not (env.isascii() and env.isdigit() and int(env) > 0):
+            raise WorkerCountError(
+                f"CIRC_THREADS must be a positive integer, got {env!r}"
+            )
+        workers = int(env)
+    elif workers < 1:
+        raise WorkerCountError(f"worker count must be a positive integer, got {workers}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def hochster_betti_table(
     g: Graph,
     field: FieldSpec = GF32003,
-    skip_isolated: bool = True,
     workers: int | None = None,
 ) -> BettiTable:
     """Full graded Betti table of S/I(G) over the given field.
@@ -366,17 +413,14 @@ def hochster_betti_table(
     workers = resolve_workers(workers)
     total = 1 << q
     if workers == 1 or total < 4096:
-        beta = _hochster_chunk(g.adjacency, 0, total, field, skip_isolated)
+        beta = _hochster_chunk(g.adjacency, 0, total, field)
     else:
         chunk_count = workers * 4
         bounds = [total * k // chunk_count for k in range(chunk_count + 1)]
         beta = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    _hochster_chunk, g.adjacency, bounds[k], bounds[k + 1],
-                    field, skip_isolated,
-                )
+                pool.submit(_hochster_chunk, g.adjacency, bounds[k], bounds[k + 1], field)
                 for k in range(chunk_count)
             ]
             for fut in futures:

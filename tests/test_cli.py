@@ -268,6 +268,19 @@ def _report(depth, pdim, sdepth, nvars):
     )
 
 
+@pytest.mark.parametrize("env", ["abc", "-4", "0"])
+def test_bad_worker_count_exits_2(capsys, monkeypatch, env):
+    monkeypatch.setenv("CIRC_THREADS", env)
+    for argv in (
+        ["invariants", "--graph", "path:3", "--method", "oracle"],
+        ["verify-paper", "--max-n", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "CIRC_THREADS must be a positive integer" in err
+
+
 def test_verdict_logic():
     exact = _report(
         FormulaValue.exact(2), FormulaValue.exact(3), FormulaValue.exact(2), 5

@@ -22,14 +22,20 @@ from circdepth.homology import (
     GF2,
     GF32003,
     RATIONALS,
+    BettiTable,
     FieldSpec,
     InvariantReport,
     OracleSizeError,
+    WorkerCountError,
+    _fold_vertex,
+    _homology_from_faces,
+    _independence_faces_by_size,
     _rank_mod_p,
     cross_field_check,
     hochster_betti_table,
     oracle_invariants,
     reduced_homology_dims,
+    resolve_workers,
 )
 
 from conftest import random_connected_graph, random_graph
@@ -226,14 +232,73 @@ def test_table_entry_shape():
             assert j >= i
 
 
-def test_isolated_skip_is_sound():
-    rng = random.Random(29)
-    graphs = [random_graph(rng, rng.randint(1, 9)) for _ in range(12)]
-    graphs.append(build_graph(CubicCirculantSpec(4, 2)))
-    for g in graphs:
-        with_skip = hochster_betti_table(g, GF32003, skip_isolated=True)
-        without = hochster_betti_table(g, GF32003, skip_isolated=False)
-        assert with_skip == without
+def _hochster_reference(g, field):
+    """Reference Betti table: Hochster's sum over every vertex subset, taking
+    the homology of each whole induced independence complex (no isolated-vertex
+    skip, no component split, no folds)."""
+    beta = {}
+    for mask in range(1 << g.num_vertices):
+        j = mask.bit_count()
+        faces = _independence_faces_by_size(g.adjacency, mask)
+        for s, dim in enumerate(_homology_from_faces(faces, field)):
+            if dim:
+                beta[(j - s, j)] = beta.get((j - s, j), 0) + dim
+    return BettiTable.from_dict(g.num_vertices, beta)
+
+
+def _graph_from_pairs(n, keep):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return graph_from_edges(
+        [f"v{i+1}" for i in range(n)], [e for e, k in zip(pairs, keep) if k]
+    )
+
+
+_small_graphs = st.integers(1, 9).flatmap(
+    lambda n: st.lists(
+        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+    ).map(lambda keep: _graph_from_pairs(n, keep))
+)
+
+
+@given(_small_graphs)
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_plain_hochster_sum(g):
+    for field in (GF2, GF32003, RATIONALS):
+        assert hochster_betti_table(g, field, workers=1) == _hochster_reference(g, field)
+
+
+@given(_small_graphs, st.data())
+@settings(max_examples=200)
+def test_fold_vertex_brute_force(g, data):
+    mask = data.draw(st.integers(0, (1 << g.num_vertices) - 1))
+    adj = g.adjacency
+
+    def folds(u, w):  # N(u) <= N(w) inside G[mask]
+        return u != w and adj[u] & mask & ~adj[w] == 0
+
+    verts = [v for v in range(g.num_vertices) if mask >> v & 1]
+    w = _fold_vertex(adj, mask)
+    if w is None:
+        assert not any(folds(u, x) for u in verts for x in verts)
+    else:
+        assert w in verts
+        assert any(folds(u, w) for u in verts)
+
+
+def test_fold_reduction_bounds_face_enumerations(monkeypatch):
+    # cubic:6:1 took 1,439 face enumerations before the fold reduction
+    import circdepth.homology as hom
+
+    calls = []
+    real = hom._independence_faces_by_size
+
+    def counted(adjacency, mask):
+        calls.append(mask)
+        return real(adjacency, mask)
+
+    monkeypatch.setattr(hom, "_independence_faces_by_size", counted)
+    hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2, workers=1)
+    assert 0 < len(calls) <= 100
 
 
 @pytest.mark.parametrize(
@@ -284,6 +349,27 @@ def test_colon_depth_monotonicity():
 
 def test_worker_count_does_not_change_table():
     g = build_graph(CubicCirculantSpec(6, 1))
-    serial = hochster_betti_table(g, GF2, workers=1)
-    parallel = hochster_betti_table(g, GF2, workers=2)
-    assert serial == parallel
+    for field in (GF2, GF32003):
+        serial = hochster_betti_table(g, field, workers=1)
+        parallel = hochster_betti_table(g, field, workers=2)
+        assert serial == parallel
+
+
+def test_resolve_workers(monkeypatch):
+    # only the count is resolved here; no pool is started
+    import circdepth.homology as hom
+
+    monkeypatch.setattr(hom.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    assert resolve_workers(None) == 1
+    for env, want in (("", 1), ("1", 1), ("3", 3), ("4", 4), ("1000", 4)):
+        monkeypatch.setenv("CIRC_THREADS", env)
+        assert resolve_workers(None) == want
+    assert resolve_workers(2) == 2
+    assert resolve_workers(64) == 4
+    for env in ("abc", "-4", "0", "+2", "2.5", " 2", "٣"):
+        monkeypatch.setenv("CIRC_THREADS", env)
+        with pytest.raises(WorkerCountError, match="CIRC_THREADS"):
+            resolve_workers(None)
+    with pytest.raises(WorkerCountError):
+        resolve_workers(0)
