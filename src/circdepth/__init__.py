@@ -80,6 +80,7 @@ from .sdepth import (
     PosetSizeError,
     SdepthResult,
     char_poset,
+    counting_bound,
     find_partition,
     sdepth_exact,
     sdepth_zero_check,

@@ -372,7 +372,7 @@ class UnionSpec:
             else:
                 cur.append(ch)
         parts.append("".join(cur))
-        return cls(tuple(parse_graph_spec(p) for p in parts))
+        return cls(tuple(_parse_spec(p) for p in parts))
 
     def to_string(self) -> str:
         return f"{self.kind}:(" + ";".join(p.to_string() for p in self.parts) + ")"
@@ -472,8 +472,16 @@ _GRAMMAR = (
 
 
 def parse_graph_spec(text: str) -> GraphSpec:
-    """Parse the spec grammar used by the CLI and JSON reports."""
-    kind, sep, body = text.strip().partition(":")
+    """Parse the spec grammar used by the CLI and JSON reports.
+
+    Whitespace around the whole spec is ignored; inside it, including
+    around union parts, it is an error, so a spec reads back as its text.
+    """
+    return _parse_spec(text.strip())
+
+
+def _parse_spec(text: str) -> GraphSpec:
+    kind, sep, body = text.partition(":")
     cls = _SPEC_KINDS.get(kind) if sep else None
     try:
         spec = cls.parse(kind, body) if cls is not None else None

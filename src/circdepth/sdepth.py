@@ -5,14 +5,26 @@ downward-closed family of variable subsets (for an edge ideal: the
 independent sets).  S/I has Stanley depth >= k exactly when that family
 splits into disjoint intervals [A, B] whose tops all have size >= k; the
 solver runs this decision by exact-cover backtracking, descending from the
-largest conceivable k, so a budget timeout still leaves a certified lower
-bound.
+largest k that passes Herzog's counting bound, so a budget timeout still
+leaves a certified lower bound.
+
+The cover state is one bitset over poset element indices (elements sort by
+rank, then mask), and each interval's cell set is a bitmask computed once
+per poset and shared by every k of one ``sdepth_exact`` call, so testing
+whether an interval still fits is a single AND.  The counting bound (Herzog,
+"A survey on Stanley depth", 2013): with alpha_i standard monomials of
+degree i, sdepth >= k forces
+``sum_{i<=j} (-1)^(j-i) C(k-i, j-i) alpha_i >= 0`` for every j <= k, since
+that sum counts the intervals with bottom rank j once every interval is
+refined to tops of size exactly k.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 from typing import Sequence
 
 from .ideals import MonomialIdeal
@@ -39,11 +51,31 @@ class CharPoset:
     def max_rank(self) -> int:
         return self.elements[-1].bit_count() if self.elements else 0
 
-    def by_rank(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.max_rank + 1)]
+    @cached_property
+    def rank_counts(self) -> tuple[int, ...]:
+        """alpha_i: the number of elements of rank i, for i = 0..max_rank."""
+        counts = [0] * (self.max_rank + 1)
         for m in self.elements:
-            out[m.bit_count()].append(m)
-        return out
+            counts[m.bit_count()] += 1
+        return tuple(counts)
+
+    @cached_property
+    def _rank_blocks(self) -> tuple[int, ...]:
+        """Bitset over element indices of the elements of each rank."""
+        blocks, start = [], 0
+        for count in self.rank_counts:
+            blocks.append(((1 << count) - 1) << start)
+            start += count
+        return tuple(blocks)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.elements)}
+
+    @cached_property
+    def _interval_masks(self) -> dict[int, int]:
+        """Memo: ``upper << num_vars | lower`` -> bitset of the interval's cells."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -90,15 +122,28 @@ class SdepthResult:
 
 
 def char_poset(ideal: MonomialIdeal) -> CharPoset:
+    """Enumerate the standard squarefree monomials of ``ideal`` as masks.
+
+    Each element grows by variables above its highest one, so every subset
+    is reached once, from itself minus its top variable.  Adding variable v
+    can only complete a generator whose highest variable is v, so only those
+    are tested.
+    """
     q = ideal.ambient_vars
     if q > POSET_VAR_CAP:
         raise PosetSizeError(
             f"{q} variables exceeds the poset cap of {POSET_VAR_CAP}"
         )
-    gens = ideal.generator_supports()
-    elements = [
-        m for m in range(1 << q) if not any(g & ~m == 0 for g in gens)
-    ]
+    # rests[v]: each generator with highest variable v, minus v
+    rests: list[list[int]] = [[] for _ in range(q)]
+    for g in ideal.generator_supports():  # nonempty, inside the q variables
+        top = g.bit_length() - 1
+        rests[top].append(g ^ (1 << top))
+    elements = [0]
+    for m in elements:  # grows while it is walked
+        for v in range(m.bit_length(), q):
+            if not any(r & m == r for r in rests[v]):
+                elements.append(m | 1 << v)
     elements.sort(key=lambda m: (m.bit_count(), m))
     return CharPoset(q, tuple(elements))
 
@@ -126,67 +171,111 @@ def validate_partition(poset: CharPoset, partition: IntervalPartition) -> bool:
     return len(seen) == len(element_set)
 
 
+def counting_bound(poset: CharPoset) -> int:
+    """Largest k <= max_rank that passes Herzog's counting test (k = 0 always does).
+
+    The test for k: ``sum_{i<=j} (-1)^(j-i) C(k-i, j-i) alpha_i >= 0`` for
+    every j <= k, where alpha_i counts the elements of rank i.  Any interval
+    partition with all tops of size >= k passes it, so no k above the
+    returned value admits one.
+    """
+    alpha = poset.rank_counts
+    for k in range(poset.max_rank, 0, -1):
+        if all(
+            sum((-1) ** (j - i) * comb(k - i, j - i) * alpha[i] for i in range(j + 1)) >= 0
+            for j in range(k + 1)
+        ):
+            return k
+    return 0
+
+
 def find_partition(
     poset: CharPoset, k: int, deadline: float | None = None
 ) -> IntervalPartition | None:
     """Interval partition with every top of size >= k, or None if impossible.
 
-    Backtracking exact cover.  Any minimal uncovered element must be the
-    bottom of its interval, so each node branches on one element of the
-    lowest uncovered rank: the one with the fewest still-available tops
-    (fail first, forced moves committed immediately).  Candidate tops are
-    tried in ascending mask order for determinism.
+    Backtracking exact cover over a bitset of uncovered element indices.
+    Any minimal uncovered element must be the bottom of its interval, so
+    each node branches on one element of the lowest uncovered rank: the one
+    with the fewest still-available tops (fail first, forced moves committed
+    immediately; ties go to the smaller mask).  Candidate tops are tried in
+    poset order (rank, then mask) for determinism.  A top is available when
+    its interval's cell bitmask, memoised on the poset, lies inside the
+    uncovered set.  The search keeps its own stack instead of recursing, so
+    it leaves no reference cycle behind for the garbage collector.
     """
     elements = poset.elements
     big = [e for e in elements if e.bit_count() >= k]
-    supersets: dict[int, list[int]] = {}
+    supersets: list[list[int]] = []
     for a in elements:
         sup = [b for b in big if b & a == a]
         if not sup:
             return None  # this element can never sit under a large-enough top
-        supersets[a] = sup
-    uncovered = set(elements)
-    chosen: list[Interval] = []
+        supersets.append(sup)
+    index = poset._index
+    masks = poset._interval_masks
+    blocks = poset._rank_blocks
+    shift = poset.num_vars
+    # fits[i]: cell bitsets of the intervals over element i, filled on demand;
+    # an interval's top is its highest-index cell
+    fits: list[list[int] | None] = [None] * len(elements)
+    uncovered = (1 << len(elements)) - 1
+    # one frame per chosen interval: [bottom, options, position taken]
+    stack: list[list] = []
     nodes = 0
-
-    def viable(bottom: int) -> list[tuple[int, list[int]]]:
-        out = []
-        for top in supersets[bottom]:
-            cells = _interval_cells(bottom, top)
-            if all(c in uncovered for c in cells):
-                out.append((top, cells))
-        return out
-
-    def extend() -> bool:
-        nonlocal nodes
+    while True:
         nodes += 1
         if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
             raise _Budget
         if not uncovered:
-            return True
-        rmin = min(c.bit_count() for c in uncovered)
-        best: tuple[int, list] | None = None
-        for bottom in sorted(c for c in uncovered if c.bit_count() == rmin):
-            options = viable(bottom)
+            return IntervalPartition(tuple(
+                Interval(bottom, elements[options[pos].bit_length() - 1])
+                for bottom, options, pos in stack
+            ))
+        candidates = next(c for c in (uncovered & b for b in blocks) if c)
+        best: tuple[int, list[int]] | None = None
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            cand = fits[i]
+            if cand is None:
+                cand = fits[i] = []
+                bottom = elements[i]
+                for top in supersets[i]:
+                    key = top << shift | bottom
+                    cells = masks.get(key)
+                    if cells is None:
+                        cells = 0
+                        for c in _interval_cells(bottom, top):
+                            cells |= 1 << index[c]
+                        masks[key] = cells
+                    cand.append(cells)
+            options = [c for c in cand if c & uncovered == c]
             if not options:
-                return False
+                best = None
+                break
             if best is None or len(options) < len(best[1]):
-                best = (bottom, options)
+                best = (elements[i], options)
                 if len(options) == 1:
                     break
-        bottom, options = best
-        for top, cells in options:
-            uncovered.difference_update(cells)
-            chosen.append(Interval(bottom, top))
-            if extend():
-                return True
-            chosen.pop()
-            uncovered.update(cells)
-        return False
-
-    if extend():
-        return IntervalPartition(tuple(chosen))
-    return None
+        if best is not None:
+            stack.append([best[0], best[1], 0])
+            uncovered ^= best[1][0]
+            continue
+        # dead end: undo the latest choice and take its next option
+        while stack:
+            frame = stack[-1]
+            options, pos = frame[1], frame[2]
+            uncovered |= options[pos]
+            pos += 1
+            if pos < len(options):
+                frame[2] = pos
+                uncovered ^= options[pos]
+                break
+            stack.pop()
+        else:
+            return None
 
 
 def sdepth_exact(
@@ -199,7 +288,8 @@ def sdepth_exact(
     ``floor`` seeds the search with a known lower bound (a closed-form value
     for recognized families); it is re-certified by an actual witness before
     the descending search starts, so a later timeout still returns a proven
-    bound and a wrong floor raises instead of being echoed back.
+    bound and a wrong floor raises instead of being echoed back.  The
+    descent starts at ``counting_bound``: no larger k can succeed.
     """
     poset = char_poset(ideal)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
@@ -217,7 +307,7 @@ def sdepth_exact(
                 f"claimed lower bound {floor} admits no interval partition"
             )
 
-    for k in range(poset.max_rank, floor, -1):
+    for k in range(counting_bound(poset), floor, -1):
         try:
             part = find_partition(poset, k, deadline)
         except _Budget:

@@ -248,6 +248,8 @@ def test_spec_grammar_rejects_garbage():
         "moon:3", "path", "cubic:5", "circulant:7:", "union:path:2", "path:x",
         "union:()", "union:(path:2;)", "union:((path:2;path:3)",
         "path:1_0", "path:+3", "path:\u0663", "cubic: 5:1", "path:03",
+        "union:( path:2 ; cycle:3)", "union:(path:2; cycle:3)",
+        "union:(path:2;cycle:3 )",
     ]:
         with pytest.raises(GraphSpecError):
             parse_graph_spec(text)

@@ -1,9 +1,13 @@
 """Exact Stanley depth: poset construction, the decision search and its witnesses."""
 
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circdepth import sdepth
 from circdepth.formulas import formula_for_spec
 from circdepth.graphs import (
     CompleteSpec,
@@ -12,6 +16,7 @@ from circdepth.graphs import (
     LadderSpec,
     PathSpec,
     build_graph,
+    graph_from_edges,
     parse_graph_spec,
 )
 from circdepth.homology import oracle_invariants
@@ -22,8 +27,11 @@ from circdepth.ideals import (
     edge_ideal,
 )
 from circdepth.sdepth import (
+    Interval,
+    IntervalPartition,
     PosetSizeError,
     char_poset,
+    counting_bound,
     find_partition,
     sdepth_exact,
     sdepth_zero_check,
@@ -79,8 +87,6 @@ def test_sdepth_examples(spec, value):
 
 
 def test_partition_validation_catches_bad_partitions():
-    from circdepth.sdepth import Interval, IntervalPartition
-
     poset = char_poset(edge_ideal(build_graph(PathSpec(3))))
     # overlap: [0, x1] and [x1, x1x3] both cover x1
     bad = IntervalPartition((Interval(0b000, 0b001), Interval(0b001, 0b101),
@@ -175,6 +181,16 @@ def test_witness_json_export():
     assert frozenset() in covered
 
 
+def _cells(lower, upper):
+    diff = upper & ~lower
+    out, sub = [], diff
+    while True:
+        out.append(lower | sub)
+        if sub == 0:
+            return out
+        sub = (sub - 1) & diff
+
+
 def _sdepth_brute(elements):
     """Reference value: maximize min top size over all interval partitions.
 
@@ -185,15 +201,6 @@ def _sdepth_brute(elements):
     """
     order = sorted(elements, key=lambda m: (m.bit_count(), m))
     memo = {}
-
-    def cells(lower, upper):
-        diff = upper & ~lower
-        out, sub = [], diff
-        while True:
-            out.append(lower | sub)
-            if sub == 0:
-                return out
-            sub = (sub - 1) & diff
 
     def best(uncovered):
         if not uncovered:
@@ -206,7 +213,7 @@ def _sdepth_brute(elements):
         for top in order:
             if top & bottom != bottom:
                 continue
-            ivl = cells(bottom, top)
+            ivl = _cells(bottom, top)
             if any(c not in uncovered for c in ivl):
                 continue
             rest = best(uncovered - set(ivl))
@@ -244,3 +251,140 @@ def test_solver_matches_brute_force_on_small_graphs():
         g = random_connected_graph(rng, rng.randint(2, 5))
         ideal = edge_ideal(g)
         assert sdepth_exact(ideal).value == _sdepth_brute(char_poset(ideal).elements)
+
+
+def _find_partition_reference(poset, k):
+    """Reference decision search: the set-based kernel the bitset one replaced.
+
+    Same branching rule (lowest uncovered rank, fewest available tops, ties
+    by ascending bottom, tops in poset order), so it returns the same
+    witness; it re-enumerates every candidate interval's cells at each node.
+    """
+    elements = poset.elements
+    big = [e for e in elements if e.bit_count() >= k]
+    supersets = {}
+    for a in elements:
+        sup = [b for b in big if b & a == a]
+        if not sup:
+            return None
+        supersets[a] = sup
+    uncovered = set(elements)
+    chosen = []
+
+    def viable(bottom):
+        out = []
+        for top in supersets[bottom]:
+            cells = _cells(bottom, top)
+            if all(c in uncovered for c in cells):
+                out.append((top, cells))
+        return out
+
+    def extend():
+        if not uncovered:
+            return True
+        rmin = min(c.bit_count() for c in uncovered)
+        best = None
+        for bottom in sorted(c for c in uncovered if c.bit_count() == rmin):
+            options = viable(bottom)
+            if not options:
+                return False
+            if best is None or len(options) < len(best[1]):
+                best = (bottom, options)
+                if len(options) == 1:
+                    break
+        bottom, options = best
+        for top, cells in options:
+            uncovered.difference_update(cells)
+            chosen.append(Interval(bottom, top))
+            if extend():
+                return True
+            chosen.pop()
+            uncovered.update(cells)
+        return False
+
+    if extend():
+        return IntervalPartition(tuple(chosen))
+    return None
+
+
+def _edge_ideal_from_pairs(n, keep):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return edge_ideal(graph_from_edges(
+        [f"v{i+1}" for i in range(n)], [e for e, k in zip(pairs, keep) if k]))
+
+
+# Random squarefree ideals on <= 8 variables and edge ideals of random graphs.
+_small_ideals = st.one_of(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.integers(1, (1 << n) - 1), max_size=6).map(
+            lambda gens: MonomialIdeal.create(n, gens))
+    ),
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+        ).map(lambda keep: _edge_ideal_from_pairs(n, keep))
+    ),
+)
+
+
+@given(_small_ideals)
+@settings(max_examples=150, deadline=None)
+def test_find_partition_matches_reference(ideal):
+    poset = char_poset(ideal)
+    q = ideal.ambient_vars
+    gens = ideal.generator_supports()
+    brute = sorted(
+        (m for m in range(1 << q) if not any(g & ~m == 0 for g in gens)),
+        key=lambda m: (m.bit_count(), m),
+    )
+    assert poset.elements == tuple(brute)
+    for k in range(poset.max_rank + 2):
+        assert find_partition(poset, k) == _find_partition_reference(poset, k), k
+
+
+@given(_small_ideals)
+@settings(max_examples=150, deadline=None)
+def test_counting_bound_is_an_upper_bound(ideal):
+    poset = char_poset(ideal)
+    value = next(
+        k for k in range(poset.max_rank, -1, -1)
+        if _find_partition_reference(poset, k) is not None
+    )
+    assert counting_bound(poset) >= value
+    assert sdepth_exact(ideal).value == value
+
+
+@pytest.mark.parametrize(
+    "text,bound", [("star:8", 4), ("cubic:5:2", 3), ("cycle:7", 2), ("ladderD:4", 4)]
+)
+def test_counting_bound_examples(text, bound):
+    poset = char_poset(edge_ideal(build_graph(parse_graph_spec(text))))
+    assert counting_bound(poset) == bound
+
+
+def test_interval_cells_work_guard(monkeypatch):
+    """Interval cell sets are built once per poset, not once per search node."""
+    calls = 0
+    original = sdepth._interval_cells
+
+    def counting(lower, upper):
+        nonlocal calls
+        calls += 1
+        return original(lower, upper)
+
+    monkeypatch.setattr(sdepth, "_interval_cells", counting)
+    spec = parse_graph_spec("star:8")
+    floor = formula_for_spec(spec).sdepth.lo
+    assert sdepth_exact(edge_ideal(build_graph(spec)), floor=floor).is_exact
+    assert calls <= 3000
+
+
+def test_solver_leaves_no_cyclic_garbage():
+    ideal = edge_ideal(build_graph(parse_graph_spec("cubic:5:2")))
+    gc.collect()
+    gc.disable()
+    try:
+        assert sdepth_exact(ideal).value == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
