@@ -2,14 +2,17 @@
 
 For a graph G on q vertices, beta_{i,j} of S/I(G) equals the sum over
 j-subsets sigma of dim H~_{j-i-1} of the independence complex of G[sigma].
-This module enumerates the 2^q subsets, computes reduced homology by exact
-rank computations over a chosen field, and extracts depth, projective
-dimension and regularity from the resulting table.
+This module evaluates that sum, computes reduced homology by exact rank
+computations over a chosen field, and extracts depth, projective dimension
+and regularity from the resulting table.
 
 Three reductions, all exact over every field:
-  * subsets inducing an isolated vertex are skipped (their complex is a cone),
-  * per-subset homology factors over connected components (topological join),
-    so each connected piece is computed once per chunk and reused,
+  * component transfer: the homology of Ind(G[sigma]) is the join over the
+    components of G[sigma] and vanishes when one of them is a single vertex
+    or acyclic, so the sum runs over unions of pairwise separated connected
+    sets of size >= 2 (_HochsterSum), not over all 2^q subsets,
+  * each connected set's homology is computed once per call (per chunk
+    with several workers) and reused,
   * the fold lemma (Engstrom, "Independence complexes of claw-free graphs",
     2008): if N(u) is contained in N(w) for u != w, then Ind(G) is homotopy
     equivalent to Ind(G - w), so a component with such a pair is replaced by
@@ -23,7 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, bits, components_of_mask
 
@@ -125,6 +128,8 @@ class CrossFieldReport:
 # ---------------------------------------------------------------------------
 
 SparseColumns = list[list[tuple[int, int]]]
+# reduced homology as (s, dim H~_{s-1}) pairs with dim > 0, () if acyclic
+Homology = tuple[tuple[int, int], ...]
 
 
 def _rank_gf2(columns: SparseColumns) -> int:
@@ -292,13 +297,13 @@ def _has_isolated(adjacency: Sequence[int], mask: int) -> bool:
     return False
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _join(a: Homology, b: Homology) -> Homology:
+    """Homology of the join of two complexes: sizes add and dimensions multiply."""
+    out: dict[int, int] = {}
+    for s, x in a:
+        for t, y in b:
+            out[s + t] = out.get(s + t, 0) + x * y
+    return tuple(out.items())
 
 
 def _fold_vertex(adjacency: Sequence[int], mask: int) -> int | None:
@@ -318,54 +323,132 @@ def _fold_vertex(adjacency: Sequence[int], mask: int) -> int | None:
     return None
 
 
-def _mask_homology(
-    adjacency: Sequence[int], mask: int, field: FieldSpec, memo: dict[int, list[int]]
-) -> list[int]:
-    """Reduced homology of Ind(G[mask]) as in _homology_from_faces ([] if acyclic).
+def _connected_sets(
+    adjacency: Sequence[int], low: int, within: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (C, N[C]) for every connected C with low <= C <= within and |C| >= 2.
 
-    ``mask`` must induce no isolated vertex.  Components are looked up in
-    ``memo`` or computed: a component with a fold pair recurses on itself
-    minus the folded vertex, any other goes to face enumeration and ranks.
+    ``low`` is a one-vertex mask inside ``within``.  C grows from it: the
+    lowest frontier vertex is either added to C or excluded for good, so
+    every connected set is reached at exactly one leaf.
     """
-    hvec = [1]
-    for comp in components_of_mask(adjacency, mask):
-        hv = memo.get(comp)
-        if hv is None:
+    stack = [(low, adjacency[low.bit_length() - 1], within)]
+    while stack:
+        comp, nbrs, allowed = stack.pop()
+        frontier = nbrs & allowed & ~comp
+        if frontier:
+            u = frontier & -frontier
+            stack.append((comp, nbrs, allowed ^ u))
+            stack.append((comp | u, nbrs | adjacency[u.bit_length() - 1], allowed))
+        elif comp != low:
+            yield comp, nbrs  # a connected C of size >= 2 lies inside its N(C)
+
+
+class _HochsterSum:
+    """Hochster's sum for one graph and field by component transfer.
+
+    Z(U) is the sum over subsets sigma of U of the homology of Ind(G[sigma]),
+    kept as {(|sigma|, s): sum of dim H~_{s-1}}.  The homology of
+    Ind(G[sigma]) is the join over the components of G[sigma], and it
+    vanishes when one of them is a single vertex or acyclic.  Splitting off
+    the component C of the lowest vertex v of U gives
+
+        Z(U) = Z(U - v) + sum of x^|C| h_C Z(U - N[C]),   Z({}) = 1,
+
+    over connected C with v in C <= U, |C| >= 2 and h_C != 0, where the
+    product with x^|C| h_C adds |C| to each size and joins with h_C.  Both Z
+    and h_C are memoised for the whole object.
+    """
+
+    def __init__(self, adjacency: Sequence[int], field: FieldSpec) -> None:
+        self.adjacency = adjacency
+        self.field = field
+        self.sums: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+        self.homology: dict[int, Homology] = {}
+
+    def subset_sum(self, within: int) -> dict[tuple[int, int], int]:
+        """Z(within)."""
+        z = self.sums.get(within)
+        if z is None:
+            low = within & -within
+            z = dict(self.subset_sum(within ^ low))
+            for comp, closed in _connected_sets(self.adjacency, low, within):
+                self.add_terms(z, comp, closed, within)
+            self.sums[within] = z
+        return z
+
+    def add_terms(
+        self, z: dict[tuple[int, int], int], comp: int, closed: int, within: int
+    ) -> None:
+        """Add x^|C| h_C Z(within - N[C]) to z, where C = comp and N[C] = closed."""
+        h = self.component_homology(comp)
+        if h:
+            size = comp.bit_count()
+            for (j, r), mult in self.subset_sum(within & ~closed).items():
+                for s, dim in h:
+                    key = (j + size, r + s)
+                    z[key] = z.get(key, 0) + mult * dim
+
+    def component_homology(self, comp: int) -> Homology:
+        """Reduced homology of Ind(G[comp]) for a connected ``comp`` of size >= 2.
+
+        A fold pair removes its vertex w; comp - w is a cone if it has an
+        isolated vertex, else the join over its components.  A fold-free
+        component goes to face enumeration and ranks.
+        """
+        h = self.homology.get(comp)
+        if h is None:
+            adjacency = self.adjacency
             w = _fold_vertex(adjacency, comp)
             if w is None:
-                hv = _homology_from_faces(_independence_faces_by_size(adjacency, comp), field)
+                faces = _independence_faces_by_size(adjacency, comp)
+                h = tuple(
+                    (s, dim)
+                    for s, dim in enumerate(_homology_from_faces(faces, self.field))
+                    if dim
+                )
             else:
                 rest = comp & ~(1 << w)
-                if _has_isolated(adjacency, rest):  # a cone
-                    hv = []
-                else:
-                    hv = _mask_homology(adjacency, rest, field, memo)
-            memo[comp] = hv
-        if not hv:
-            return []
-        hvec = _convolve(hvec, hv)
-    return hvec
+                h = ()
+                if not _has_isolated(adjacency, rest):
+                    first, *others = components_of_mask(adjacency, rest)
+                    h = self.component_homology(first)
+                    for part in others:
+                        if not h:
+                            break
+                        h = _join(h, self.component_homology(part))
+            self.homology[comp] = h
+        return h
 
 
-def _hochster_chunk(
+def _top_terms(adjacency: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(C, N[C]) for every connected C of size >= 2, grouped by lowest vertex.
+
+    Every nonempty subset with nonzero homology has one lowest vertex v and
+    one component C containing it; these are the terms of Z(V) unrolled
+    along V, V - {0}, V - {0, 1}, ...
+    """
+    full = (1 << len(adjacency)) - 1
+    for v in range(len(adjacency)):
+        low = 1 << v
+        yield from _connected_sets(adjacency, low, full & -low)
+
+
+def _hochster_terms(
     adjacency: tuple[int, ...],
-    lo: int,
-    hi: int,
     field: FieldSpec,
+    terms: Iterable[tuple[int, int]],
 ) -> dict[tuple[int, int], int]:
-    """Accumulate beta_{i,j} contributions of the subset range [lo, hi)."""
-    beta: dict[tuple[int, int], int] = {}
-    memo: dict[int, list[int]] = {}
-    for mask in range(lo, hi):
-        if _has_isolated(adjacency, mask):
-            continue
-        hvec = _mask_homology(adjacency, mask, field, memo)
-        j = mask.bit_count()
-        for s, dim in enumerate(hvec):
-            if dim:
-                key = (j - s, j)
-                beta[key] = beta.get(key, 0) + dim
-    return beta
+    """Sum x^|C| h_C Z(V_v - N[C]) over the given top terms, as {(j, s): dim}.
+
+    V_v is the set of vertices from the lowest vertex v of C up.
+    """
+    hochster = _HochsterSum(adjacency, field)
+    full = (1 << len(adjacency)) - 1
+    z: dict[tuple[int, int], int] = {}
+    for comp, closed in terms:
+        hochster.add_terms(z, comp, closed, full & -(comp & -comp))
+    return z
 
 
 class WorkerCountError(ValueError):
@@ -399,10 +482,12 @@ def hochster_betti_table(
 ) -> BettiTable:
     """Full graded Betti table of S/I(G) over the given field.
 
-    Cost is a sum over all 2^q vertex subsets; graphs above
-    ORACLE_VERTEX_CAP vertices are refused (use the closed-form route for
-    family members instead).  The subset range is split into contiguous
-    chunks when workers > 1; results do not depend on the worker count.
+    Hochster's sum runs through the component-transfer recurrence of
+    _HochsterSum, which visits connected vertex sets rather than all 2^q
+    subsets; graphs above ORACLE_VERTEX_CAP vertices are refused (use the
+    closed-form route for family members instead).  With workers > 1 and
+    q >= 12 the top terms are split into contiguous chunks; results do not
+    depend on the worker count.
     """
     q = g.num_vertices
     if q > ORACLE_VERTEX_CAP:
@@ -411,21 +496,24 @@ def hochster_betti_table(
             "closed-form family values remain available"
         )
     workers = resolve_workers(workers)
-    total = 1 << q
-    if workers == 1 or total < 4096:
-        beta = _hochster_chunk(g.adjacency, 0, total, field)
+    terms = _top_terms(g.adjacency)
+    if workers == 1 or q < 12:
+        z = _hochster_terms(g.adjacency, field, terms)
     else:
+        terms = list(terms)
         chunk_count = workers * 4
-        bounds = [total * k // chunk_count for k in range(chunk_count + 1)]
-        beta = {}
+        bounds = [len(terms) * k // chunk_count for k in range(chunk_count + 1)]
+        z = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_hochster_chunk, g.adjacency, bounds[k], bounds[k + 1], field)
+                pool.submit(_hochster_terms, g.adjacency, field, terms[bounds[k] : bounds[k + 1]])
                 for k in range(chunk_count)
             ]
             for fut in futures:
                 for key, mult in fut.result().items():
-                    beta[key] = beta.get(key, 0) + mult
+                    z[key] = z.get(key, 0) + mult
+    z[(0, 0)] = z.get((0, 0), 0) + 1  # the empty subset
+    beta = {(j - s, j): mult for (j, s), mult in z.items()}
     return BettiTable.from_dict(q, beta)
 
 

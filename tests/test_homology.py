@@ -267,6 +267,19 @@ def test_oracle_matches_plain_hochster_sum(g):
         assert hochster_betti_table(g, field, workers=1) == _hochster_reference(g, field)
 
 
+@given(_small_graphs, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_table_is_invariant_under_relabeling(g, rng):
+    # the recurrence's memo keys and enumeration order follow the labeling
+    perm = list(range(g.num_vertices))
+    rng.shuffle(perm)
+    relabeled = graph_from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
+    for field in (GF2, RATIONALS):
+        assert hochster_betti_table(relabeled, field, workers=1) == hochster_betti_table(
+            g, field, workers=1
+        )
+
+
 @given(_small_graphs, st.data())
 @settings(max_examples=200)
 def test_fold_vertex_brute_force(g, data):
@@ -299,6 +312,30 @@ def test_fold_reduction_bounds_face_enumerations(monkeypatch):
     monkeypatch.setattr(hom, "_independence_faces_by_size", counted)
     hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2, workers=1)
     assert 0 < len(calls) <= 100
+
+
+def test_component_transfer_bounds_isolated_checks(monkeypatch):
+    # cubic:6:1 made >= 4,096 isolated-vertex checks (one per subset) when
+    # Hochster's sum walked every vertex subset
+    import circdepth.homology as hom
+
+    counts = {"isolated": 0, "faces": 0}
+    real_isolated = hom._has_isolated
+    real_faces = hom._independence_faces_by_size
+
+    def isolated(adjacency, mask):
+        counts["isolated"] += 1
+        return real_isolated(adjacency, mask)
+
+    def faces(adjacency, mask):
+        counts["faces"] += 1
+        return real_faces(adjacency, mask)
+
+    monkeypatch.setattr(hom, "_has_isolated", isolated)
+    monkeypatch.setattr(hom, "_independence_faces_by_size", faces)
+    hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2, workers=1)
+    assert 0 < counts["isolated"] <= 2000
+    assert 0 < counts["faces"] <= 100
 
 
 @pytest.mark.parametrize(
@@ -348,11 +385,14 @@ def test_colon_depth_monotonicity():
 
 
 def test_worker_count_does_not_change_table():
-    g = build_graph(CubicCirculantSpec(6, 1))
-    for field in (GF2, GF32003):
-        serial = hochster_betti_table(g, field, workers=1)
-        parallel = hochster_betti_table(g, field, workers=2)
-        assert serial == parallel
+    # q >= 12 for all three, so workers=2 runs the pool; cubic:6:2 is disconnected
+    for spec in (CubicCirculantSpec(6, 1), CubicCirculantSpec(6, 2), PathSpec(13)):
+        g = build_graph(spec)
+        assert g.num_vertices >= 12
+        for field in (GF2, GF32003, RATIONALS):
+            serial = hochster_betti_table(g, field, workers=1)
+            parallel = hochster_betti_table(g, field, workers=2)
+            assert serial == parallel
 
 
 def test_resolve_workers(monkeypatch):
