@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -27,6 +28,7 @@ from .graphs import (
     Graph,
     GraphSpec,
     GraphSpecError,
+    IsomorphismSizeError,
     LadderSpec,
     build_graph,
     davis_domke_decompose,
@@ -45,9 +47,7 @@ from .homology import (
     FieldSpec,
     InvariantReport,
     OracleSizeError,
-    WorkerCountError,
     oracle_invariants,
-    resolve_workers,
 )
 from .ideals import edge_ideal, verify_colon_decomposition
 from .sdepth import POSET_VAR_CAP, SdepthResult, sdepth_exact
@@ -128,8 +128,7 @@ def evaluate(
 
     Raises FormulaUnavailable when 'formula' is a route and the spec has no
     closed form.  Without the formula route the closed form, when there is
-    one, still gives the sdepth solver its starting floor.  The oracle takes
-    its worker count from CIRC_THREADS.
+    one, still gives the sdepth solver its starting floor.
     """
     try:
         closed = formula_for_spec(spec) if {"formula", "sdepth"} & set(routes) else None
@@ -459,6 +458,24 @@ def _run_row(task: RowTask, field_char: int, budget: float | None) -> Verificati
         )
 
 
+class WorkerCountError(ValueError):
+    """CIRC_THREADS is not a positive integer."""
+
+
+def resolve_workers() -> int:
+    """verify-paper row workers: CIRC_THREADS, else 1.
+
+    The value must be a positive integer in ASCII digits and is capped at
+    os.cpu_count().  An empty CIRC_THREADS counts as unset.
+    """
+    env = os.environ.get("CIRC_THREADS", "")
+    if not env:
+        return 1
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise WorkerCountError(f"CIRC_THREADS must be a positive integer, got {env!r}")
+    return min(int(env), os.cpu_count() or 1)
+
+
 def cmd_verify_paper(
     max_n: int,
     slow: bool,
@@ -475,11 +492,14 @@ def cmd_verify_paper(
             file=sys.stderr,
         )
         return 2
+    if max_n < 2:
+        print(f"error: --max-n {max_n} is below 2, the smallest n", file=sys.stderr)
+        return 2
     tasks = _verify_tasks(max_n, slow)
-    workers = resolve_workers(None)
+    workers = resolve_workers()
     runner = partial(_run_row, field_char=_FIELDS[field].characteristic, budget=budget)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_serial_oracle) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(runner, tasks))
     else:
         rows = [runner(t) for t in tasks]
@@ -518,11 +538,6 @@ def cmd_verify_paper(
     return 1 if mismatches or errors else 0
 
 
-def _serial_oracle() -> None:
-    # rows already run in parallel, so each row's oracle enumerates subsets alone
-    os.environ["CIRC_THREADS"] = "1"
-
-
 def _rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -546,6 +561,9 @@ def cmd_decompose(n: int, a: int, fmt: str, out: str | None) -> int:
     except DecompositionError as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return 1
+    except IsomorphismSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if fmt == "json":
         payload = {
             "n": n,
@@ -569,10 +587,17 @@ def cmd_decompose(n: int, a: int, fmt: str, out: str | None) -> int:
     return 0
 
 
+class OutputError(ValueError):
+    """The --out file cannot be written."""
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -580,6 +605,14 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _budget_seconds(text: str) -> float:
+    """--budget-seconds: a finite number of seconds, 0 or more."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -597,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     inv.add_argument("--field", choices=tuple(_FIELDS), default="32003")
     inv.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    inv.add_argument("--budget-seconds", type=float, default=None)
+    inv.add_argument("--budget-seconds", type=_budget_seconds, default=None)
     inv.add_argument("--slow", action="store_true", help="allow 16-20 vertex oracle runs")
     inv.add_argument("--out", default=None)
 
@@ -606,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--slow", action="store_true")
     ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     ver.add_argument("--field", choices=tuple(_FIELDS), default="32003")
-    ver.add_argument("--budget-seconds", type=float, default=None)
+    ver.add_argument("--budget-seconds", type=_budget_seconds, default=None)
     ver.add_argument("--out", default=None)
 
     dec = sub.add_parser("decompose", help="gcd-decompose a cubic circulant")
@@ -636,11 +669,11 @@ def main(argv: list[str] | None = None) -> int:
                 args.max_n, args.slow, args.format, args.out, args.budget_seconds,
                 args.field,
             )
-    except (OracleSizeError, WorkerCountError) as exc:
+        if args.command == "decompose":
+            return cmd_decompose(args.n, args.a, args.format, args.out)
+    except (OracleSizeError, WorkerCountError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "decompose":
-        return cmd_decompose(args.n, args.a, args.format, args.out)
     return 2
 
 

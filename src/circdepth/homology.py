@@ -11,8 +11,7 @@ Three reductions, all exact over every field:
     components of G[sigma] and vanishes when one of them is a single vertex
     or acyclic, so the sum runs over unions of pairwise separated connected
     sets of size >= 2 (_HochsterSum), not over all 2^q subsets,
-  * each connected set's homology is computed once per call (per chunk
-    with several workers) and reused,
+  * each connected set's homology is computed once per call and reused,
   * the fold lemma (Engstrom, "Independence complexes of claw-free graphs",
     2008): if N(u) is contained in N(w) for u != w, then Ind(G) is homotopy
     equivalent to Ind(G - w), so a component with such a pair is replaced by
@@ -22,11 +21,9 @@ Three reductions, all exact over every field:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import Graph, bits, components_of_mask
 
@@ -373,21 +370,17 @@ class _HochsterSum:
             low = within & -within
             z = dict(self.subset_sum(within ^ low))
             for comp, closed in _connected_sets(self.adjacency, low, within):
-                self.add_terms(z, comp, closed, within)
+                h = self.component_homology(comp)
+                if not h:
+                    continue
+                # add x^|C| h_C Z(within - N[C]), where C = comp and N[C] = closed
+                size = comp.bit_count()
+                for (j, r), mult in self.subset_sum(within & ~closed).items():
+                    for s, dim in h:
+                        key = (j + size, r + s)
+                        z[key] = z.get(key, 0) + mult * dim
             self.sums[within] = z
         return z
-
-    def add_terms(
-        self, z: dict[tuple[int, int], int], comp: int, closed: int, within: int
-    ) -> None:
-        """Add x^|C| h_C Z(within - N[C]) to z, where C = comp and N[C] = closed."""
-        h = self.component_homology(comp)
-        if h:
-            size = comp.bit_count()
-            for (j, r), mult in self.subset_sum(within & ~closed).items():
-                for s, dim in h:
-                    key = (j + size, r + s)
-                    z[key] = z.get(key, 0) + mult * dim
 
     def component_homology(self, comp: int) -> Homology:
         """Reduced homology of Ind(G[comp]) for a connected ``comp`` of size >= 2.
@@ -421,73 +414,13 @@ class _HochsterSum:
         return h
 
 
-def _top_terms(adjacency: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(C, N[C]) for every connected C of size >= 2, grouped by lowest vertex.
-
-    Every nonempty subset with nonzero homology has one lowest vertex v and
-    one component C containing it; these are the terms of Z(V) unrolled
-    along V, V - {0}, V - {0, 1}, ...
-    """
-    full = (1 << len(adjacency)) - 1
-    for v in range(len(adjacency)):
-        low = 1 << v
-        yield from _connected_sets(adjacency, low, full & -low)
-
-
-def _hochster_terms(
-    adjacency: tuple[int, ...],
-    field: FieldSpec,
-    terms: Iterable[tuple[int, int]],
-) -> dict[tuple[int, int], int]:
-    """Sum x^|C| h_C Z(V_v - N[C]) over the given top terms, as {(j, s): dim}.
-
-    V_v is the set of vertices from the lowest vertex v of C up.
-    """
-    hochster = _HochsterSum(adjacency, field)
-    full = (1 << len(adjacency)) - 1
-    z: dict[tuple[int, int], int] = {}
-    for comp, closed in terms:
-        hochster.add_terms(z, comp, closed, full & -(comp & -comp))
-    return z
-
-
-class WorkerCountError(ValueError):
-    """CIRC_THREADS (or a workers argument) is not a positive integer."""
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Worker count: ``workers`` if given, else CIRC_THREADS, else 1.
-
-    The value must be a positive integer (CIRC_THREADS in ASCII digits) and
-    is capped at os.cpu_count().  An empty CIRC_THREADS counts as unset.
-    """
-    if workers is None:
-        env = os.environ.get("CIRC_THREADS", "")
-        if not env:
-            return 1
-        if not (env.isascii() and env.isdigit() and int(env) > 0):
-            raise WorkerCountError(
-                f"CIRC_THREADS must be a positive integer, got {env!r}"
-            )
-        workers = int(env)
-    elif workers < 1:
-        raise WorkerCountError(f"worker count must be a positive integer, got {workers}")
-    return min(workers, os.cpu_count() or 1)
-
-
-def hochster_betti_table(
-    g: Graph,
-    field: FieldSpec = GF32003,
-    workers: int | None = None,
-) -> BettiTable:
+def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:
     """Full graded Betti table of S/I(G) over the given field.
 
-    Hochster's sum runs through the component-transfer recurrence of
-    _HochsterSum, which visits connected vertex sets rather than all 2^q
-    subsets; graphs above ORACLE_VERTEX_CAP vertices are refused (use the
-    closed-form route for family members instead).  With workers > 1 and
-    q >= 12 the top terms are split into contiguous chunks; results do not
-    depend on the worker count.
+    The table is Z(V) of _HochsterSum, whose recurrence visits connected
+    vertex sets rather than all 2^q subsets; Z counts the empty subset as
+    beta_{0,0} = 1.  Graphs above ORACLE_VERTEX_CAP vertices are refused
+    (use the closed-form route for family members instead).
     """
     q = g.num_vertices
     if q > ORACLE_VERTEX_CAP:
@@ -495,35 +428,14 @@ def hochster_betti_table(
             f"{q} vertices exceeds the oracle cap of {ORACLE_VERTEX_CAP}; "
             "closed-form family values remain available"
         )
-    workers = resolve_workers(workers)
-    terms = _top_terms(g.adjacency)
-    if workers == 1 or q < 12:
-        z = _hochster_terms(g.adjacency, field, terms)
-    else:
-        terms = list(terms)
-        chunk_count = workers * 4
-        bounds = [len(terms) * k // chunk_count for k in range(chunk_count + 1)]
-        z = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_hochster_terms, g.adjacency, field, terms[bounds[k] : bounds[k + 1]])
-                for k in range(chunk_count)
-            ]
-            for fut in futures:
-                for key, mult in fut.result().items():
-                    z[key] = z.get(key, 0) + mult
-    z[(0, 0)] = z.get((0, 0), 0) + 1  # the empty subset
+    z = _HochsterSum(g.adjacency, field).subset_sum((1 << q) - 1)
     beta = {(j - s, j): mult for (j, s), mult in z.items()}
     return BettiTable.from_dict(q, beta)
 
 
-def oracle_invariants(
-    g: Graph,
-    field: FieldSpec = GF32003,
-    workers: int | None = None,
-) -> InvariantReport:
+def oracle_invariants(g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
     """depth/pdim/reg of S/I(G), read off the Betti table."""
-    table = hochster_betti_table(g, field, workers=workers)
+    table = hochster_betti_table(g, field)
     pdim = table.pdim
     return InvariantReport(
         depth=g.num_vertices - pdim,
@@ -536,13 +448,11 @@ def oracle_invariants(
 
 
 def cross_field_check(
-    g: Graph,
-    fields: tuple[FieldSpec, FieldSpec] = DEFAULT_FIELDS,
-    workers: int | None = None,
+    g: Graph, fields: tuple[FieldSpec, FieldSpec] = DEFAULT_FIELDS
 ) -> CrossFieldReport:
     """Compare Betti tables over two prime fields; arbitrate over QQ if they differ."""
-    t1 = hochster_betti_table(g, fields[0], workers=workers)
-    t2 = hochster_betti_table(g, fields[1], workers=workers)
+    t1 = hochster_betti_table(g, fields[0])
+    t2 = hochster_betti_table(g, fields[1])
     if t1.entries == t2.entries:
         return CrossFieldReport(fields, (t1, t2), True, (), None)
     d1, d2 = t1.as_dict(), t2.as_dict()
@@ -553,5 +463,5 @@ def cross_field_check(
             if d1.get((i, j), 0) != d2.get((i, j), 0)
         )
     )
-    arbiter = hochster_betti_table(g, RATIONALS, workers=workers)
+    arbiter = hochster_betti_table(g, RATIONALS)
     return CrossFieldReport(fields, (t1, t2), False, differing, arbiter)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from circdepth import cli
-from circdepth.cli import CSV_COLUMNS, _verdict, main
+from circdepth.cli import CSV_COLUMNS, WorkerCountError, _verdict, main, resolve_workers
 from circdepth.formulas import FormulaReport, FormulaValue
 from circdepth.homology import GF32003, InvariantReport
 from circdepth.sdepth import SdepthResult
@@ -65,7 +65,7 @@ def test_invariants_json_schema(capsys):
     assert obj["invariants"]["sdepth"]["exact"] == 2
 
 
-def test_invariants_json_deterministic(capsys, monkeypatch):
+def test_invariants_json_deterministic(capsys):
     def normalized(out):
         obj = json.loads(out)
         obj["seconds"] = 0
@@ -73,7 +73,6 @@ def test_invariants_json_deterministic(capsys, monkeypatch):
 
     args = ["invariants", "--graph", "cubic:4:2", "--method", "all", "--format", "json"]
     _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("CIRC_THREADS", "2")
     _, out2, _ = run_cli(capsys, *args)
     assert normalized(out1) == normalized(out2)
 
@@ -212,6 +211,42 @@ def test_verify_paper_tier_limits(capsys):
     assert "tier limit" in err
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_verify_paper_max_n_below_2_exits_2(capsys, max_n):
+    code, out, err = run_cli(capsys, "verify-paper", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert "below 2" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+def test_bad_budget_seconds_exits_2(capsys, budget):
+    for argv in (
+        ["invariants", "--graph", "path:4", "--budget-seconds", budget],
+        ["verify-paper", "--max-n", "2", "--budget-seconds", budget],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite number >= 0" in captured.err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    for argv in (
+        ["invariants", "--graph", "path:3", "--format", "json"],
+        ["verify-paper", "--max-n", "2"],
+        ["decompose", "4", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
+    assert not target.exists()
+
+
 def test_decompose_examples(capsys):
     code, out, _ = run_cli(capsys, "decompose", "4", "2")
     assert code == 0
@@ -237,6 +272,14 @@ def test_decompose_invalid_exits_2(capsys):
     code, _, err = run_cli(capsys, "decompose", "4", "4")
     assert code == 2
     assert "error" in err
+
+
+def test_decompose_component_too_large_exits_2(capsys):
+    # C_26(2,13) is one 26-vertex component, above the isomorphism search limit
+    code, out, err = run_cli(capsys, "decompose", "13", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too large for exact isomorphism" in err
 
 
 def test_union_spec_through_all_methods(capsys):
@@ -271,14 +314,24 @@ def _report(depth, pdim, sdepth, nvars):
 @pytest.mark.parametrize("env", ["abc", "-4", "0"])
 def test_bad_worker_count_exits_2(capsys, monkeypatch, env):
     monkeypatch.setenv("CIRC_THREADS", env)
-    for argv in (
-        ["invariants", "--graph", "path:3", "--method", "oracle"],
-        ["verify-paper", "--max-n", "2"],
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "CIRC_THREADS must be a positive integer" in err
+    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert "CIRC_THREADS must be a positive integer" in err
+
+
+def test_resolve_workers(monkeypatch):
+    # only the count is resolved here; no pool is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    assert resolve_workers() == 1
+    for env, want in (("", 1), ("1", 1), ("3", 3), ("4", 4), ("1000", 4)):
+        monkeypatch.setenv("CIRC_THREADS", env)
+        assert resolve_workers() == want
+    for env in ("abc", "-4", "0", "+2", "2.5", " 2", "٣"):
+        monkeypatch.setenv("CIRC_THREADS", env)
+        with pytest.raises(WorkerCountError, match="CIRC_THREADS"):
+            resolve_workers()
 
 
 def test_verdict_logic():

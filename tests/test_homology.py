@@ -26,7 +26,6 @@ from circdepth.homology import (
     FieldSpec,
     InvariantReport,
     OracleSizeError,
-    WorkerCountError,
     _fold_vertex,
     _homology_from_faces,
     _independence_faces_by_size,
@@ -35,7 +34,6 @@ from circdepth.homology import (
     hochster_betti_table,
     oracle_invariants,
     reduced_homology_dims,
-    resolve_workers,
 )
 
 from conftest import random_connected_graph, random_graph
@@ -264,7 +262,7 @@ _small_graphs = st.integers(1, 9).flatmap(
 @settings(max_examples=40, deadline=None)
 def test_oracle_matches_plain_hochster_sum(g):
     for field in (GF2, GF32003, RATIONALS):
-        assert hochster_betti_table(g, field, workers=1) == _hochster_reference(g, field)
+        assert hochster_betti_table(g, field) == _hochster_reference(g, field)
 
 
 @given(_small_graphs, st.randoms(use_true_random=False))
@@ -275,9 +273,7 @@ def test_table_is_invariant_under_relabeling(g, rng):
     rng.shuffle(perm)
     relabeled = graph_from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
     for field in (GF2, RATIONALS):
-        assert hochster_betti_table(relabeled, field, workers=1) == hochster_betti_table(
-            g, field, workers=1
-        )
+        assert hochster_betti_table(relabeled, field) == hochster_betti_table(g, field)
 
 
 @given(_small_graphs, st.data())
@@ -310,7 +306,7 @@ def test_fold_reduction_bounds_face_enumerations(monkeypatch):
         return real(adjacency, mask)
 
     monkeypatch.setattr(hom, "_independence_faces_by_size", counted)
-    hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2, workers=1)
+    hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
     assert 0 < len(calls) <= 100
 
 
@@ -333,7 +329,7 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
 
     monkeypatch.setattr(hom, "_has_isolated", isolated)
     monkeypatch.setattr(hom, "_independence_faces_by_size", faces)
-    hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2, workers=1)
+    hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
     assert 0 < counts["isolated"] <= 2000
     assert 0 < counts["faces"] <= 100
 
@@ -382,34 +378,3 @@ def test_colon_depth_monotonicity():
         sub = induced_subgraph(g, keep)
         assert oracle_invariants(sub).depth >= oracle_invariants(g).depth
         checked += 1
-
-
-def test_worker_count_does_not_change_table():
-    # q >= 12 for all three, so workers=2 runs the pool; cubic:6:2 is disconnected
-    for spec in (CubicCirculantSpec(6, 1), CubicCirculantSpec(6, 2), PathSpec(13)):
-        g = build_graph(spec)
-        assert g.num_vertices >= 12
-        for field in (GF2, GF32003, RATIONALS):
-            serial = hochster_betti_table(g, field, workers=1)
-            parallel = hochster_betti_table(g, field, workers=2)
-            assert serial == parallel
-
-
-def test_resolve_workers(monkeypatch):
-    # only the count is resolved here; no pool is started
-    import circdepth.homology as hom
-
-    monkeypatch.setattr(hom.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    for env, want in (("", 1), ("1", 1), ("3", 3), ("4", 4), ("1000", 4)):
-        monkeypatch.setenv("CIRC_THREADS", env)
-        assert resolve_workers(None) == want
-    assert resolve_workers(2) == 2
-    assert resolve_workers(64) == 4
-    for env in ("abc", "-4", "0", "+2", "2.5", " 2", "٣"):
-        monkeypatch.setenv("CIRC_THREADS", env)
-        with pytest.raises(WorkerCountError, match="CIRC_THREADS"):
-            resolve_workers(None)
-    with pytest.raises(WorkerCountError):
-        resolve_workers(0)
