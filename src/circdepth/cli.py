@@ -18,12 +18,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
-from typing import Collection
+from typing import Callable, Collection
 
 from .formulas import FormulaReport, FormulaUnavailable, formula_for_spec
 from .graphs import (
+    CubicCirculantSpec,
     DecompositionError,
     Graph,
     GraphSpec,
@@ -52,37 +53,13 @@ from .homology import (
 from .ideals import edge_ideal, verify_colon_decomposition
 from .sdepth import POSET_VAR_CAP, SdepthResult, sdepth_exact
 
-CSV_COLUMNS = (
-    "family",
-    "params",
-    "depth_formula",
-    "depth_oracle",
-    "pdim_formula",
-    "pdim_oracle",
-    "sdepth_lo",
-    "sdepth_hi",
-    "sdepth_exact",
-    "verdict",
-    "theorem",
-    "seconds",
-)
-
 _FIELDS = {"2": GF2, "32003": GF32003, "exact": RATIONALS}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    graph: str
-    method: str = "all"
-    field: str = "32003"
-    fmt: str = "text"
-    budget_seconds: float | None = None
-    slow: bool = False
-    out: str | None = None
 
 
 @dataclass
 class VerificationRow:
+    """One table row; its fields, in order, are the CSV columns."""
+
     family: str
     params: str
     depth_formula: str = ""
@@ -96,15 +73,13 @@ class VerificationRow:
     theorem: str = ""
     seconds: str = ""
 
-    def values(self) -> list[str]:
-        return [getattr(self, col) for col in CSV_COLUMNS]
 
-    def json_obj(self) -> dict:
-        return {col: getattr(self, col) for col in CSV_COLUMNS}
+CSV_COLUMNS = tuple(f.name for f in fields(VerificationRow))
 
 
 ALL_ROUTES = ("formula", "oracle", "sdepth")
 ORACLE_ROUTES = ("formula", "oracle")
+_ROUTE_NAMES = {"oracle": "oracle", "sdepth": "sdepth solver"}
 
 
 @dataclass(frozen=True)
@@ -180,18 +155,47 @@ def _verdict(
     return "bounds-consistent" if bounds_checked else "match"
 
 
-def _oracle_tier_error(nv: int, slow: bool) -> str | None:
-    if nv > ORACLE_VERTEX_CAP:
-        return (
-            f"{nv} vertices exceeds the oracle hard cap of {ORACLE_VERTEX_CAP}; "
-            "use --method formula for family members"
+def _skipped_routes(num_vertices: int, routes: Collection[str], slow: bool) -> dict[str, str]:
+    """Each route of ``routes`` that may not run on this many vertices, with why.
+
+    The formula route always may.  This is the one place the size caps are read.
+    """
+    skipped = {}
+    if "oracle" in routes:
+        if num_vertices > ORACLE_VERTEX_CAP:
+            skipped["oracle"] = (
+                f"{num_vertices} vertices exceeds the oracle hard cap of "
+                f"{ORACLE_VERTEX_CAP}; use --method formula for family members"
+            )
+        elif num_vertices >= SLOW_TIER_MIN and not slow:
+            skipped["oracle"] = (
+                f"{num_vertices} vertices is in the slow tier "
+                f"({SLOW_TIER_MIN}-{ORACLE_VERTEX_CAP}); pass --slow to run it"
+            )
+    if "sdepth" in routes and num_vertices > POSET_VAR_CAP:
+        skipped["sdepth"] = (
+            f"{num_vertices} variables exceeds the sdepth solver cap of {POSET_VAR_CAP}"
         )
-    if nv >= SLOW_TIER_MIN and not slow:
-        return (
-            f"{nv} vertices is in the slow tier ({SLOW_TIER_MIN}-{ORACLE_VERTEX_CAP}); "
-            "pass --slow to run it"
+    return skipped
+
+
+def _evaluation_cells(result: Evaluation) -> dict[str, str]:
+    """The table cells of an evaluation, from depth_formula to theorem."""
+    cells = {"verdict": result.verdict}
+    formula, oracle, solver = result.formula, result.oracle, result.solver
+    if formula is not None:
+        cells.update(
+            depth_formula=str(formula.depth),
+            pdim_formula=str(formula.pdim),
+            sdepth_lo=str(formula.sdepth.lo),
+            sdepth_hi="" if formula.sdepth.hi is None else str(formula.sdepth.hi),
+            theorem=formula.source,
         )
-    return None
+    if oracle is not None:
+        cells.update(depth_oracle=str(oracle.depth), pdim_oracle=str(oracle.pdim))
+    if solver is not None and solver.is_exact:
+        cells["sdepth_exact"] = str(solver.value)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -199,50 +203,38 @@ def _oracle_tier_error(nv: int, slow: bool) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_invariants(cfg: RunConfig) -> int:
+def cmd_invariants(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
-        spec = parse_graph_spec(cfg.graph)
+        spec = parse_graph_spec(args.graph)
         g = build_graph(spec)
     except GraphSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    routes = set(ALL_ROUTES) if cfg.method == "all" else {cfg.method}
-    if "oracle" in routes:
-        err = _oracle_tier_error(g.num_vertices, cfg.slow)
-        if err:
-            if cfg.method == "oracle":
-                print(f"error: {err}", file=sys.stderr)
-                return 2
-            print(f"note: oracle skipped: {err}", file=sys.stderr)
-            routes.discard("oracle")
-    if "sdepth" in routes and g.num_vertices > POSET_VAR_CAP:
-        msg = (
-            f"{g.num_vertices} variables exceeds the sdepth solver cap "
-            f"of {POSET_VAR_CAP}"
-        )
-        if cfg.method == "sdepth":
-            print(f"error: {msg}", file=sys.stderr)
+    routes = set(ALL_ROUTES) if args.method == "all" else {args.method}
+    for route, reason in _skipped_routes(g.num_vertices, routes, args.slow).items():
+        if route == args.method:
+            print(f"error: {reason}", file=sys.stderr)
             return 2
-        print(f"note: sdepth solver skipped: {msg}", file=sys.stderr)
-        routes.discard("sdepth")
+        print(f"note: {_ROUTE_NAMES[route]} skipped: {reason}", file=sys.stderr)
+        routes.discard(route)
+    _check_out(args.out)
 
-    field_spec = _FIELDS[cfg.field]
+    field = _FIELDS[args.field]
     try:
-        result = evaluate(spec, g, routes, field_spec, cfg.budget_seconds)
+        result = evaluate(spec, g, routes, field, args.budget_seconds)
     except FormulaUnavailable as exc:
-        if cfg.method == "formula":
+        if args.method == "formula":
             print(f"error: {exc}", file=sys.stderr)
             return 2
         # with --method all the closed form is reported only when there is one
         routes.discard("formula")
-        result = evaluate(spec, g, routes, field_spec, cfg.budget_seconds)
+        result = evaluate(spec, g, routes, field, args.budget_seconds)
     seconds = round(time.perf_counter() - t0, 3)
-    payload = _invariants_payload(cfg, spec, g, result, seconds)
-    text = _render_invariants(cfg, spec, g, result, payload)
-    _emit(text, cfg.out)
-    return 1 if (cfg.method == "all" and result.verdict == "MISMATCH") else 0
+    payload = _invariants_payload(args, spec, g, result, seconds)
+    _emit(_render_invariants(args, spec, g, result, payload), args.out)
+    return 1 if (args.method == "all" and result.verdict == "MISMATCH") else 0
 
 
 def _sdepth_json(formula, solver):
@@ -258,7 +250,7 @@ def _sdepth_json(formula, solver):
     return None
 
 
-def _invariants_payload(cfg, spec, g, result: Evaluation, seconds):
+def _invariants_payload(args, spec, g, result: Evaluation, seconds):
     formula, oracle = result.formula, result.oracle
     if oracle is not None:
         depth, pdim, reg = oracle.depth, oracle.pdim, oracle.reg
@@ -279,19 +271,22 @@ def _invariants_payload(cfg, spec, g, result: Evaluation, seconds):
             "sdepth": _sdepth_json(formula, result.solver),
         },
         "provenance": {
-            "method": cfg.method,
-            "field": cfg.field if oracle is not None else None,
+            "method": args.method,
+            "field": args.field if oracle is not None else None,
             "theorem": formula.source if formula is not None else None,
         },
         "seconds": seconds,
     }
 
 
-def _render_invariants(cfg, spec, g, result: Evaluation, payload):
-    if cfg.fmt == "json":
+def _render_invariants(args, spec, g, result: Evaluation, payload):
+    if args.format == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if cfg.fmt == "csv":
-        row = _row_from_parts(spec.kind, spec.params(), result, payload["seconds"])
+    if args.format == "csv":
+        row = VerificationRow(
+            spec.kind, spec.params(), **_evaluation_cells(result),
+            seconds=f"{payload['seconds']:.3f}",
+        )
         return _rows_to_csv([row])
     formula, oracle, solver = result.formula, result.oracle, result.solver
     lines = [
@@ -311,7 +306,7 @@ def _render_invariants(cfg, spec, g, result: Evaluation, payload):
     if solver is not None:
         tag = "exact" if solver.is_exact else "lower bound (budget exhausted)"
         lines.append(f"sdepth solver: {solver.value} ({tag})")
-    if cfg.method == "all":
+    if args.method == "all":
         lines.append(f"verdict: {result.verdict}")
     lines.append(f"seconds: {payload['seconds']}")
     return "\n".join(lines) + "\n"
@@ -324,14 +319,41 @@ def _render_invariants(cfg, spec, g, result: Evaluation, payload):
 
 @dataclass(frozen=True)
 class RowTask:
-    kind: str  # invariant | davis-domke | colon
+    """One verify-paper row: ``check(field, budget)`` returns its cells.
+
+    ``check`` is a partial of a module-level function, so a task pickles
+    into a row worker together with the graph it checks.
+    """
+
     family: str
     params: str
-    spec: str = ""
-    n: int = 0
-    a: int = 0
-    pivot: str = ""
-    routes: tuple[str, ...] = ()
+    check: Callable[[FieldSpec, float | None], dict[str, str]]
+
+
+def _invariant_cells(spec, g, routes, field, budget) -> dict[str, str]:
+    return _evaluation_cells(evaluate(spec, g, routes, field, budget))
+
+
+def _decomposition_cells(n, a, field, budget) -> dict[str, str]:
+    """The gcd-decomposition check of C_2n(a, n); field and budget are unused."""
+    try:
+        report = davis_domke_decompose(n, a)
+    except DecompositionError as exc:
+        return {"verdict": "MISMATCH", "theorem": str(exc)}
+    return {
+        "verdict": "match",
+        "theorem": f"gcd-decomposition: {report.copy_count} x "
+        f"{spec_display_name(report.component_spec)} verified",
+    }
+
+
+def _colon_cells(g, pivot, field, budget) -> dict[str, str]:
+    """The colon-quotient dimension check at ``pivot``; field and budget are unused."""
+    ok = verify_colon_decomposition(g, g.index_of(pivot), 4)
+    return {
+        "verdict": "match" if ok else "MISMATCH",
+        "theorem": "colon-quotient dimension check (dmax=4)",
+    }
 
 
 def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
@@ -339,10 +361,10 @@ def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
 
     def add(family: str, text: str, routes=ORACLE_ROUTES, params: str = "") -> None:
         spec = parse_graph_spec(text)
-        if _oracle_tier_error(build_graph(spec).num_vertices, slow) is None:
-            tasks.append(
-                RowTask("invariant", family, params or spec.params(), text, routes=routes)
-            )
+        g = build_graph(spec)
+        if not _skipped_routes(g.num_vertices, routes, slow):
+            check = partial(_invariant_cells, spec, g, routes)
+            tasks.append(RowTask(family, params or spec.params(), check))
 
     for kind, low in (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)):
         for q in range(low, 8):
@@ -359,18 +381,18 @@ def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
             add("cubic", f"cubic:{n}:{a}")
     for n in range(2, max_n + 1):
         for a in range(1, n):
-            tasks.append(RowTask("davis-domke", "davis-domke", f"n={n},a={a}", n=n, a=a))
+            check = partial(_decomposition_cells, n, a)
+            tasks.append(RowTask("davis-domke", f"n={n},a={a}", check))
     for n in range(3, min(max_n, 5) + 1):
-        tasks.append(
-            RowTask("colon", "colon-ladderA", f"n={n}", spec="ladderA", n=n, pivot=f"y{n}")
-        )
-        tasks.append(
-            RowTask("colon", "colon-cubic1n", f"n={n}", spec="moebius", n=n, pivot="y1")
-        )
+        colon = [
+            ("ladderA", build_graph(LadderSpec("A", n)), f"y{n}"),
+            ("cubic1n", moebius_ladder(n), "y1"),
+        ]
         if n % 2 == 1:
-            tasks.append(
-                RowTask("colon", "colon-cubic2n", f"n={n}", spec="prism", n=n, pivot=f"y{n}")
-            )
+            colon.append(("cubic2n", prism(n), f"y{n}"))
+        for name, g, pivot in colon:
+            check = partial(_colon_cells, g, pivot)
+            tasks.append(RowTask(f"colon-{name}", f"n={n},pivot={pivot}", check))
     for kind, low, high in (
         ("path", 2, 6),
         ("cycle", 3, 7),
@@ -386,76 +408,16 @@ def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
     return tasks
 
 
-def _row_from_parts(family, params, result: Evaluation, seconds):
-    row = VerificationRow(family=family, params=params, verdict=result.verdict)
-    formula, oracle, solver = result.formula, result.oracle, result.solver
-    if formula is not None:
-        row.depth_formula = str(formula.depth)
-        row.pdim_formula = str(formula.pdim)
-        row.sdepth_lo = str(formula.sdepth.lo)
-        row.sdepth_hi = "" if formula.sdepth.hi is None else str(formula.sdepth.hi)
-        row.theorem = formula.source
-    if oracle is not None:
-        row.depth_oracle = str(oracle.depth)
-        row.pdim_oracle = str(oracle.pdim)
-    if solver is not None and solver.is_exact:
-        row.sdepth_exact = str(solver.value)
-    row.seconds = f"{seconds:.3f}"
-    return row
-
-
 def _run_row(task: RowTask, field_char: int, budget: float | None) -> VerificationRow:
+    """Run and time one row; a crashed row is reported as ERROR, and the table goes on."""
     t0 = time.perf_counter()
     try:
-        if task.kind == "invariant":
-            spec = parse_graph_spec(task.spec)
-            result = evaluate(
-                spec, build_graph(spec), task.routes, FieldSpec(field_char), budget
-            )
-            return _row_from_parts(
-                task.family, task.params, result, time.perf_counter() - t0
-            )
-        if task.kind == "davis-domke":
-            try:
-                report = davis_domke_decompose(task.n, task.a)
-                verdict = "match"
-                theorem = (
-                    f"gcd-decomposition: {report.copy_count} x "
-                    f"{spec_display_name(report.component_spec)} verified"
-                )
-            except DecompositionError as exc:
-                verdict = "MISMATCH"
-                theorem = str(exc)
-            row = VerificationRow(
-                family=task.family, params=task.params, verdict=verdict,
-                theorem=theorem, seconds=f"{time.perf_counter() - t0:.3f}",
-            )
-            return row
-        if task.kind == "colon":
-            builders = {
-                "ladderA": lambda n: build_graph(LadderSpec("A", n)),
-                "moebius": moebius_ladder,
-                "prism": prism,
-            }
-            g = builders[task.spec](task.n)
-            ok = verify_colon_decomposition(g, g.index_of(task.pivot), 4)
-            row = VerificationRow(
-                family=task.family,
-                params=f"{task.params},pivot={task.pivot}",
-                verdict="match" if ok else "MISMATCH",
-                theorem="colon-quotient dimension check (dmax=4)",
-                seconds=f"{time.perf_counter() - t0:.3f}",
-            )
-            return row
-        raise ValueError(f"unknown row kind {task.kind}")
-    except Exception as exc:  # a crashed row is reported, and the table goes on
-        return VerificationRow(
-            family=task.family,
-            params=task.params,
-            verdict="ERROR",
-            theorem=f"error: {exc}",
-            seconds=f"{time.perf_counter() - t0:.3f}",
-        )
+        cells = task.check(FieldSpec(field_char), budget)
+    except Exception as exc:
+        cells = {"verdict": "ERROR", "theorem": f"error: {exc}"}
+    return VerificationRow(
+        task.family, task.params, **cells, seconds=f"{time.perf_counter() - t0:.3f}"
+    )
 
 
 class WorkerCountError(ValueError):
@@ -476,14 +438,8 @@ def resolve_workers() -> int:
     return min(int(env), os.cpu_count() or 1)
 
 
-def cmd_verify_paper(
-    max_n: int,
-    slow: bool,
-    fmt: str,
-    out: str | None,
-    budget: float | None,
-    field: str,
-) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> int:
+    max_n, slow = args.max_n, args.slow
     limit = 8 if slow else 7
     if max_n > limit:
         print(
@@ -495,9 +451,12 @@ def cmd_verify_paper(
     if max_n < 2:
         print(f"error: --max-n {max_n} is below 2, the smallest n", file=sys.stderr)
         return 2
-    tasks = _verify_tasks(max_n, slow)
     workers = resolve_workers()
-    runner = partial(_run_row, field_char=_FIELDS[field].characteristic, budget=budget)
+    _check_out(args.out)
+    tasks = _verify_tasks(max_n, slow)
+    runner = partial(
+        _run_row, field_char=_FIELDS[args.field].characteristic, budget=args.budget_seconds
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(runner, tasks))
@@ -506,15 +465,16 @@ def cmd_verify_paper(
     mismatches = sum(r.verdict == "MISMATCH" for r in rows)
     errors = sum(r.verdict == "ERROR" for r in rows)
 
-    if fmt == "csv":
+    if args.format == "csv":
         text = _rows_to_csv(rows)
-    elif fmt == "json":
+    elif args.format == "json":
         text = json.dumps(
             {
                 "max_n": max_n,
                 "slow": slow,
-                "rows": [r.json_obj() for r in rows],
+                "rows": [asdict(r) for r in rows],
                 "mismatches": mismatches,
+                "errors": errors,
             },
             sort_keys=True,
             indent=2,
@@ -532,9 +492,9 @@ def cmd_verify_paper(
                 cells.append(f"sdepth [{r.sdepth_lo},{hi}] exact={r.sdepth_exact or '-'}")
             cells.append(r.verdict)
             lines.append("  ".join(cells))
-        lines.append(f"rows: {len(rows)}, mismatches: {mismatches}")
+        lines.append(f"rows: {len(rows)}, mismatches: {mismatches}, errors: {errors}")
         text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit(text, args.out)
     return 1 if mismatches or errors else 0
 
 
@@ -542,8 +502,7 @@ def _rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(r.values())
+    writer.writerows(astuple(r) for r in rows)
     return buf.getvalue()
 
 
@@ -552,19 +511,19 @@ def _rows_to_csv(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_decompose(n: int, a: int, fmt: str, out: str | None) -> int:
+def cmd_decompose(args: argparse.Namespace) -> int:
+    n, a = args.n, args.a
     try:
+        CubicCirculantSpec(n, a)  # reject bad n, a before the --out check
+        _check_out(args.out)
         report = davis_domke_decompose(n, a)
-    except GraphSpecError as exc:
+    except (GraphSpecError, IsomorphismSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DecompositionError as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return 1
-    except IsomorphismSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "n": n,
             "a": a,
@@ -583,21 +542,43 @@ def cmd_decompose(n: int, a: int, fmt: str, out: str | None) -> int:
             f"{spec_display_name(report.component_spec)} "
             f"[t={report.t}, 2n/t {report.parity}], verified\n"
         )
-    _emit(text, out)
+    _emit(text, args.out)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# output
+# ---------------------------------------------------------------------------
 
 
 class OutputError(ValueError):
     """The --out file cannot be written."""
 
 
+def _write(out: str, text: str, mode: str) -> None:
+    try:
+        with open(out, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write --out {out}: {exc.strerror}") from exc
+
+
+def _check_out(out: str | None) -> None:
+    """Raise OutputError when --out cannot be written, before any work is done.
+
+    A file the probe creates is removed again, so a run that stops before
+    its output leaves nothing behind.
+    """
+    if out:
+        existed = os.path.exists(out)
+        _write(out, "", "a")
+        if not existed:
+            os.remove(out)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write --out {out}: {exc.strerror}") from exc
+        _write(out, text, "w")
     else:
         sys.stdout.write(text)
 
@@ -624,6 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     inv = sub.add_parser("invariants", help="compute invariants of one graph")
+    inv.set_defaults(run=cmd_invariants)
     inv.add_argument("--graph", required=True, help="graph spec, e.g. cubic:5:1")
     inv.add_argument(
         "--method", choices=("formula", "oracle", "sdepth", "all"), default="all"
@@ -635,6 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify-paper", help="run the whole verification table")
+    ver.set_defaults(run=cmd_verify_paper)
     ver.add_argument("--max-n", type=int, default=5)
     ver.add_argument("--slow", action="store_true")
     ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -643,6 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None)
 
     dec = sub.add_parser("decompose", help="gcd-decompose a cubic circulant")
+    dec.set_defaults(run=cmd_decompose)
     dec.add_argument("n", type=int)
     dec.add_argument("a", type=int)
     dec.add_argument("--format", choices=("text", "json"), default="text")
@@ -653,28 +637,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "invariants":
-            cfg = RunConfig(
-                graph=args.graph,
-                method=args.method,
-                field=args.field,
-                fmt=args.format,
-                budget_seconds=args.budget_seconds,
-                slow=args.slow,
-                out=args.out,
-            )
-            return cmd_invariants(cfg)
-        if args.command == "verify-paper":
-            return cmd_verify_paper(
-                args.max_n, args.slow, args.format, args.out, args.budget_seconds,
-                args.field,
-            )
-        if args.command == "decompose":
-            return cmd_decompose(args.n, args.a, args.format, args.out)
+        return args.run(args)
     except (OracleSizeError, WorkerCountError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def run() -> None:

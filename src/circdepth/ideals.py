@@ -32,22 +32,9 @@ class SquarefreeMonomial:
         if self.support < 0:
             raise ValueError("support mask must be nonnegative")
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "SquarefreeMonomial":
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return cls(mask)
-
     @property
     def degree(self) -> int:
         return self.support.bit_count()
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(bits(self.support))
-
-    def divides_support(self, support: int) -> bool:
-        return self.support & ~support == 0
 
 
 @dataclass(frozen=True)
@@ -94,14 +81,6 @@ class MonomialIdeal:
     def contains_support(self, support: int) -> bool:
         """Membership of the squarefree monomial with the given support."""
         return any(g.support & ~support == 0 for g in self.generators)
-
-    def contains_exponents(self, exponents: Sequence[int]) -> bool:
-        """Membership of an arbitrary monomial given by its exponent vector."""
-        support = 0
-        for i, e in enumerate(exponents):
-            if e:
-                support |= 1 << i
-        return self.contains_support(support)
 
 
 def _minimalize(supports: Iterable[int]) -> list[int]:

@@ -204,6 +204,15 @@ def test_verify_paper_crashed_row_is_error(capsys, monkeypatch):
     ]
     assert "MISMATCH" not in {r[verdict] for r in rows}
 
+    # the summaries count the crashed rows apart from mismatches
+    code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "2", "--format", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert (obj["mismatches"], obj["errors"]) == (0, 2)
+    code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "2")
+    assert code == 1
+    assert out.splitlines()[-1].endswith(", mismatches: 0, errors: 2")
+
 
 def test_verify_paper_tier_limits(capsys):
     code, _, err = run_cli(capsys, "verify-paper", "--max-n", "8")
@@ -245,6 +254,58 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: cannot write --out")
     assert not target.exists()
+
+
+def test_unwritable_out_fails_before_any_row(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = cli._run_row
+    monkeypatch.setattr(cli, "_run_row", lambda *a, **k: calls.append(a) or real(*a, **k))
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "7", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out")
+    assert calls == []
+
+
+def test_out_probe_leaves_no_file_on_exit_2(capsys, tmp_path):
+    # the --out check runs before the formula route, which then exits 2
+    target = tmp_path / "x.json"
+    code, _, err = run_cli(
+        capsys, "invariants", "--graph", "circulant:7:1,3", "--method", "formula",
+        "--out", str(target),
+    )
+    assert code == 2
+    assert "error" in err
+    assert not target.exists()
+
+
+def test_verify_paper_builds_each_graph_once(capsys, monkeypatch):
+    counts = {"parse": 0, "build": 0, "parse_in_row": 0, "build_in_row": 0}
+    in_row = [False]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name + ("_in_row" if in_row[0] else "")] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def row(*args, **kwargs):
+        in_row[0] = True
+        try:
+            return real_row(*args, **kwargs)
+        finally:
+            in_row[0] = False
+
+    real_row = cli._run_row
+    monkeypatch.setattr(cli, "parse_graph_spec", counted("parse", cli.parse_graph_spec))
+    monkeypatch.setattr(cli, "build_graph", counted("build", cli.build_graph))
+    monkeypatch.setattr(cli, "_run_row", row)
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "3", "--format", "csv")
+    assert code == 0
+    assert counts == {"parse": 63, "build": 64, "parse_in_row": 0, "build_in_row": 0}
 
 
 def test_decompose_examples(capsys):
@@ -298,10 +359,15 @@ def test_verify_paper_worker_count_invariant(capsys, monkeypatch):
         rows = list(csv.reader(io.StringIO(out)))
         return [r[:-1] for r in rows]
 
-    args = ["verify-paper", "--max-n", "2", "--format", "csv"]
+    # n = 3 is the first n with colon rows, so every row kind goes to a worker
+    args = ["verify-paper", "--max-n", "3", "--format", "csv"]
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
     _, out1, _ = run_cli(capsys, *args)
     monkeypatch.setenv("CIRC_THREADS", "2")
     _, out2, _ = run_cli(capsys, *args)
+    assert {r[0] for r in body_without_seconds(out1)} >= {
+        "path", "davis-domke", "colon-ladderA", "colon-cubic1n", "colon-cubic2n",
+    }
     assert body_without_seconds(out1) == body_without_seconds(out2)
 
 
