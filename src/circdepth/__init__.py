@@ -44,8 +44,6 @@ from .graphs import (
     moebius_ladder,
     parse_graph_spec,
     prism,
-    spec_display_name,
-    spec_to_string,
 )
 from .homology import (
     GF2,

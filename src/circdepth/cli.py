@@ -26,7 +26,6 @@ from .formulas import FormulaReport, FormulaUnavailable, formula_for_spec
 from .graphs import (
     CubicCirculantSpec,
     DecompositionError,
-    Graph,
     GraphSpec,
     GraphSpecError,
     IsomorphismSizeError,
@@ -36,8 +35,6 @@ from .graphs import (
     moebius_ladder,
     parse_graph_spec,
     prism,
-    spec_display_name,
-    spec_to_string,
 )
 from .homology import (
     GF2,
@@ -94,16 +91,16 @@ class Evaluation:
 
 def evaluate(
     spec: GraphSpec,
-    g: Graph,
     routes: Collection[str],
     field: FieldSpec,
     budget: float | None,
 ) -> Evaluation:
-    """Run the routes ('formula', 'oracle', 'sdepth') on ``g`` and compare them.
+    """Run the routes ('formula', 'oracle', 'sdepth') on ``spec`` and compare them.
 
-    Raises FormulaUnavailable when 'formula' is a route and the spec has no
-    closed form.  Without the formula route the closed form, when there is
-    one, still gives the sdepth solver its starting floor.
+    The graph is built only for the oracle and the solver; the formula route
+    needs the spec alone.  Raises FormulaUnavailable when 'formula' is a route
+    and the spec has no closed form.  Without the formula route the closed
+    form, when there is one, still gives the sdepth solver its starting floor.
     """
     try:
         closed = formula_for_spec(spec) if {"formula", "sdepth"} & set(routes) else None
@@ -112,6 +109,7 @@ def evaluate(
             raise
         closed = None
     formula = closed if "formula" in routes else None
+    g = build_graph(spec) if {"oracle", "sdepth"} & set(routes) else None
     oracle = oracle_invariants(g, field) if "oracle" in routes else None
     solver = None
     if "sdepth" in routes:
@@ -207,13 +205,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         spec = parse_graph_spec(args.graph)
-        g = build_graph(spec)
     except GraphSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     routes = set(ALL_ROUTES) if args.method == "all" else {args.method}
-    for route, reason in _skipped_routes(g.num_vertices, routes, args.slow).items():
+    for route, reason in _skipped_routes(spec.num_vertices, routes, args.slow).items():
         if route == args.method:
             print(f"error: {reason}", file=sys.stderr)
             return 2
@@ -223,17 +220,17 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
     field = _FIELDS[args.field]
     try:
-        result = evaluate(spec, g, routes, field, args.budget_seconds)
+        result = evaluate(spec, routes, field, args.budget_seconds)
     except FormulaUnavailable as exc:
         if args.method == "formula":
             print(f"error: {exc}", file=sys.stderr)
             return 2
         # with --method all the closed form is reported only when there is one
         routes.discard("formula")
-        result = evaluate(spec, g, routes, field, args.budget_seconds)
+        result = evaluate(spec, routes, field, args.budget_seconds)
     seconds = round(time.perf_counter() - t0, 3)
-    payload = _invariants_payload(args, spec, g, result, seconds)
-    _emit(_render_invariants(args, spec, g, result, payload), args.out)
+    payload = _invariants_payload(args, spec, result, seconds)
+    _emit(_render_invariants(args, spec, result, payload), args.out)
     return 1 if (args.method == "all" and result.verdict == "MISMATCH") else 0
 
 
@@ -250,7 +247,7 @@ def _sdepth_json(formula, solver):
     return None
 
 
-def _invariants_payload(args, spec, g, result: Evaluation, seconds):
+def _invariants_payload(args, spec, result: Evaluation, seconds):
     formula, oracle = result.formula, result.oracle
     if oracle is not None:
         depth, pdim, reg = oracle.depth, oracle.pdim, oracle.reg
@@ -261,9 +258,9 @@ def _invariants_payload(args, spec, g, result: Evaluation, seconds):
     else:
         depth = pdim = reg = None
     return {
-        "spec": spec_to_string(spec),
-        "vertices": g.num_vertices,
-        "edges": g.edge_count,
+        "spec": spec.to_string(),
+        "vertices": spec.num_vertices,
+        "edges": spec.edge_count,
         "invariants": {
             "depth": depth,
             "pdim": pdim,
@@ -279,7 +276,7 @@ def _invariants_payload(args, spec, g, result: Evaluation, seconds):
     }
 
 
-def _render_invariants(args, spec, g, result: Evaluation, payload):
+def _render_invariants(args, spec, result: Evaluation, payload):
     if args.format == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.format == "csv":
@@ -290,8 +287,8 @@ def _render_invariants(args, spec, g, result: Evaluation, payload):
         return _rows_to_csv([row])
     formula, oracle, solver = result.formula, result.oracle, result.solver
     lines = [
-        f"graph {spec_to_string(spec)} ({spec_display_name(spec)}): "
-        f"{g.num_vertices} vertices, {g.edge_count} edges"
+        f"graph {spec.to_string()} ({spec.display_name()}): "
+        f"{spec.num_vertices} vertices, {spec.edge_count} edges"
     ]
     if formula is not None:
         lines.append(
@@ -322,7 +319,8 @@ class RowTask:
     """One verify-paper row: ``check(field, budget)`` returns its cells.
 
     ``check`` is a partial of a module-level function, so a task pickles
-    into a row worker together with the graph it checks.
+    into a row worker together with the spec (or, for a colon row, the
+    graph) it checks.
     """
 
     family: str
@@ -330,8 +328,8 @@ class RowTask:
     check: Callable[[FieldSpec, float | None], dict[str, str]]
 
 
-def _invariant_cells(spec, g, routes, field, budget) -> dict[str, str]:
-    return _evaluation_cells(evaluate(spec, g, routes, field, budget))
+def _invariant_cells(spec, routes, field, budget) -> dict[str, str]:
+    return _evaluation_cells(evaluate(spec, routes, field, budget))
 
 
 def _decomposition_cells(n, a, field, budget) -> dict[str, str]:
@@ -343,7 +341,7 @@ def _decomposition_cells(n, a, field, budget) -> dict[str, str]:
     return {
         "verdict": "match",
         "theorem": f"gcd-decomposition: {report.copy_count} x "
-        f"{spec_display_name(report.component_spec)} verified",
+        f"{report.component_spec.display_name()} verified",
     }
 
 
@@ -361,9 +359,8 @@ def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
 
     def add(family: str, text: str, routes=ORACLE_ROUTES, params: str = "") -> None:
         spec = parse_graph_spec(text)
-        g = build_graph(spec)
-        if not _skipped_routes(g.num_vertices, routes, slow):
-            check = partial(_invariant_cells, spec, g, routes)
+        if not _skipped_routes(spec.num_vertices, routes, slow):
+            check = partial(_invariant_cells, spec, routes)
             tasks.append(RowTask(family, params or spec.params(), check))
 
     for kind, low in (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)):
@@ -530,8 +527,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "t": report.t,
             "parity": report.parity,
             "copy_count": report.copy_count,
-            "component": spec_to_string(report.component_spec),
-            "component_name": spec_display_name(report.component_spec),
+            "component": report.component_spec.to_string(),
+            "component_name": report.component_spec.display_name(),
             "verified": True,
             "witnesses": [dict(sorted(w.items())) for w in report.witness_isos],
         }
@@ -539,7 +536,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     else:
         text = (
             f"C_{2*n}({a},{n}) = {report.copy_count} × "
-            f"{spec_display_name(report.component_spec)} "
+            f"{report.component_spec.display_name()} "
             f"[t={report.t}, 2n/t {report.parity}], verified\n"
         )
     _emit(text, args.out)

@@ -98,6 +98,22 @@ class FormulaReport:
                 raise ValueError("exact depth and pdim must sum to the variable count")
 
 
+def _from_depth(
+    nv: int, depth: int, source: str, sdepth: FormulaValue | None = None
+) -> FormulaReport:
+    """Exact depth and pdim = nv - depth (Auslander-Buchsbaum) on nv variables.
+
+    Stanley depth is ``sdepth`` when given, else exactly the depth.
+    """
+    return FormulaReport(
+        depth=FormulaValue.exact(depth),
+        sdepth=FormulaValue.exact(depth) if sdepth is None else sdepth,
+        pdim=FormulaValue.exact(nv - depth),
+        source=source,
+        ambient_vars=nv,
+    )
+
+
 def base_family_invariants(
     spec: PathSpec | CycleSpec | StarSpec | CompleteSpec,
 ) -> FormulaReport:
@@ -107,13 +123,7 @@ def base_family_invariants(
         if q < 2:
             raise FormulaUnavailable("path formula needs q >= 2")
         d = ceil_div(q, 3)
-        return FormulaReport(
-            depth=FormulaValue.exact(d),
-            sdepth=FormulaValue.exact(d),
-            pdim=FormulaValue.exact(q - d),
-            source=f"path q={q}: depth=sdepth=ceil(q/3)={d}",
-            ambient_vars=q,
-        )
+        return _from_depth(q, d, f"path q={q}: depth=sdepth=ceil(q/3)={d}")
     if isinstance(spec, CycleSpec):
         q = spec.q
         d = ceil_div(q - 1, 3)
@@ -123,24 +133,12 @@ def base_family_invariants(
         else:
             sdepth = FormulaValue.exact(d)
             tag = f"cycle q={q} [q%3={q % 3}]: depth=sdepth=ceil((q-1)/3)={d}"
-        return FormulaReport(
-            depth=FormulaValue.exact(d),
-            sdepth=sdepth,
-            pdim=FormulaValue.exact(q - d),
-            source=tag,
-            ambient_vars=q,
-        )
+        return _from_depth(q, d, tag, sdepth)
     if isinstance(spec, (StarSpec, CompleteSpec)):
         q = spec.q
         if q < 2:
             raise FormulaUnavailable("needs q >= 2")
-        return FormulaReport(
-            depth=FormulaValue.exact(1),
-            sdepth=FormulaValue.exact(1),
-            pdim=FormulaValue.exact(q - 1),
-            source=f"{spec.kind} q={q}: depth=sdepth=1",
-            ambient_vars=q,
-        )
+        return _from_depth(q, 1, f"{spec.kind} q={q}: depth=sdepth=1")
     raise FormulaUnavailable(f"no base-family formula for {spec!r}")
 
 
@@ -155,32 +153,20 @@ def ladder_invariants(family: str, n: int) -> FormulaReport:
         if n < 1:
             raise FormulaUnavailable("ladder A needs n >= 1")
         d = ceil_div(n, 2)
-        nv = 2 * n
         if n % 2 == 1:
             sdepth = FormulaValue.exact(d)
             stag = f"sdepth={d}"
         else:
             sdepth = FormulaValue.bounds(d, ceil_div(n + 1, 2))
             stag = f"sdepth in [{d},{ceil_div(n + 1, 2)}] (two-valued for even n)"
-        return FormulaReport(
-            depth=FormulaValue.exact(d),
-            sdepth=sdepth,
-            pdim=FormulaValue.exact(3 * n // 2),
-            source=f"ladder-A n={n}: depth=ceil(n/2)={d}; pdim=floor(3n/2); {stag}",
-            ambient_vars=nv,
-        )
+        # pdim = 2n - ceil(n/2) = floor(3n/2)
+        source = f"ladder-A n={n}: depth=ceil(n/2)={d}; pdim=floor(3n/2); {stag}"
+        return _from_depth(2 * n, d, source, sdepth)
     if family == "B":
         if n < 0:
             raise FormulaUnavailable("ladder B needs n >= 0")
         d = ceil_div(n + 1, 2)
-        nv = 2 * n + 1
-        return FormulaReport(
-            depth=FormulaValue.exact(d),
-            sdepth=FormulaValue.exact(d),
-            pdim=FormulaValue.exact(nv - d),
-            source=f"ladder-B n={n}: depth=sdepth=ceil((n+1)/2)={d}",
-            ambient_vars=nv,
-        )
+        return _from_depth(2 * n + 1, d, f"ladder-B n={n}: depth=sdepth=ceil((n+1)/2)={d}")
     if family == "C":
         if n < 1:
             raise FormulaUnavailable("ladder C needs n >= 1")
@@ -194,14 +180,7 @@ def ladder_invariants(family: str, n: int) -> FormulaReport:
         else:
             d = ceil_div(n + 1, 2) + 1
             rule = "ceil((n+1)/2)+1"
-        nv = 2 * n + 2
-        return FormulaReport(
-            depth=FormulaValue.exact(d),
-            sdepth=FormulaValue.exact(d),
-            pdim=FormulaValue.exact(nv - d),
-            source=f"ladder-C n={n} [n%4={r}]: depth=sdepth={rule}={d}",
-            ambient_vars=nv,
-        )
+        return _from_depth(2 * n + 2, d, f"ladder-C n={n} [n%4={r}]: depth=sdepth={rule}={d}")
     if family == "D":
         if n < 1:
             raise FormulaUnavailable("ladder D needs n >= 1")
@@ -212,14 +191,7 @@ def ladder_invariants(family: str, n: int) -> FormulaReport:
         else:
             d = ceil_div(n + 1, 2)
             rule = "ceil((n+1)/2)"
-        nv = 2 * n + 2
-        return FormulaReport(
-            depth=FormulaValue.exact(d),
-            sdepth=FormulaValue.exact(d),
-            pdim=FormulaValue.exact(nv - d),
-            source=f"ladder-D n={n} [n%4={r}]: depth=sdepth={rule}={d}",
-            ambient_vars=nv,
-        )
+        return _from_depth(2 * n + 2, d, f"ladder-D n={n} [n%4={r}]: depth=sdepth={rule}={d}")
     raise FormulaUnavailable(f"unknown ladder family {family!r}")
 
 
@@ -228,7 +200,6 @@ def cubic_connected_invariants(chord: int, n: int) -> FormulaReport:
     cubic circulants: chord=1 is C_{2n}(1,n) (n >= 2), chord=2 is C_{2n}(2,n)
     (odd n >= 3; even n gives a disconnected graph, go through
     cubic_general_invariants instead)."""
-    nv = 2 * n
     r = n % 4
     if chord == 1:
         if n < 2:
@@ -269,13 +240,7 @@ def cubic_connected_invariants(chord: int, n: int) -> FormulaReport:
         tag = f"cubic-2n n={n} [n%4={r}]: depth={rule}={d}; {stag}"
     else:
         raise FormulaUnavailable("chord must be 1 or 2")
-    return FormulaReport(
-        depth=FormulaValue.exact(d),
-        sdepth=sdepth,
-        pdim=FormulaValue.exact(nv - d),
-        source=tag,
-        ambient_vars=nv,
-    )
+    return _from_depth(2 * n, d, tag, sdepth)
 
 
 def cubic_general_invariants(n: int, a: int) -> FormulaReport:
@@ -291,7 +256,6 @@ def cubic_general_invariants(n: int, a: int) -> FormulaReport:
         raise FormulaUnavailable("cubic circulant needs n >= 2 and 1 <= a < n")
     t = gcd(2 * n, a)
     m = 2 * n // t
-    nv = 2 * n
     if m % 2 == 0:
         copies = t
         nt = n // t
@@ -322,13 +286,8 @@ def cubic_general_invariants(n: int, a: int) -> FormulaReport:
     else:
         sdepth = FormulaValue.at_least(depth)
         stag = f"sdepth>={depth} (depth lower bound; additivity over {copies} copies)"
-    return FormulaReport(
-        depth=FormulaValue.exact(depth),
-        sdepth=sdepth,
-        pdim=FormulaValue.exact(nv - depth),
-        source=f"cubic n={n},a={a} [{branch}]: depth={rule}={depth}; {stag}",
-        ambient_vars=nv,
-    )
+    source = f"cubic n={n},a={a} [{branch}]: depth={rule}={depth}; {stag}"
+    return _from_depth(2 * n, depth, source, sdepth)
 
 
 def formula_for_spec(spec: GraphSpec) -> FormulaReport:

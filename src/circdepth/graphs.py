@@ -116,10 +116,11 @@ def graph_from_edges(labels: Sequence[str], edges: Sequence[tuple[int, int]]) ->
 # Graph specs (closed family grammar)
 #
 # Each spec class defines one family: its parameters and their checks, its
-# kind token, its spec string, display name and CSV ``params`` cell, and its
-# graph builder.  ``parse(kind, body)`` reads the text after ``kind:`` and
-# returns None when its shape is wrong.  Adding a family means writing one
-# class and listing it in GraphSpec and _SPEC_KINDS.
+# kind token, its spec string, display name and CSV ``params`` cell, its
+# vertex and edge counts in closed form, and its graph builder.
+# ``parse(kind, body)`` reads the text after ``kind:`` and returns None when
+# its shape is wrong.  Adding a family means writing one class and listing it
+# in GraphSpec and _SPEC_KINDS.
 # ---------------------------------------------------------------------------
 
 
@@ -141,7 +142,8 @@ def _x_labels(q: int) -> list[str]:
 class _OrderSpec:
     """A family with one member per vertex count q, labeled x1..xq.
 
-    Subclasses name the family and give its edge list in ``edges()``.
+    Subclasses name the family and give its edge list in ``edges()`` and
+    its length in ``edge_count``.
     """
 
     q: int
@@ -168,6 +170,10 @@ class _OrderSpec:
     def params(self) -> str:
         return f"q={self.q}"
 
+    @property
+    def num_vertices(self) -> int:
+        return self.q
+
     def build(self) -> Graph:
         return graph_from_edges(_x_labels(self.q), self.edges())
 
@@ -175,6 +181,10 @@ class _OrderSpec:
 @dataclass(frozen=True)
 class PathSpec(_OrderSpec):
     kind, symbol, noun, min_q = "path", "P", "path", 1
+
+    @property
+    def edge_count(self) -> int:
+        return self.q - 1
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(self.q - 1)]
@@ -184,6 +194,10 @@ class PathSpec(_OrderSpec):
 class CycleSpec(_OrderSpec):
     kind, symbol, noun, min_q = "cycle", "C", "cycle", 3
 
+    @property
+    def edge_count(self) -> int:
+        return self.q
+
     def edges(self) -> list[tuple[int, int]]:
         return [(i, (i + 1) % self.q) for i in range(self.q)]
 
@@ -191,6 +205,10 @@ class CycleSpec(_OrderSpec):
 @dataclass(frozen=True)
 class StarSpec(_OrderSpec):
     kind, symbol, noun, min_q = "star", "S", "star", 2
+
+    @property
+    def edge_count(self) -> int:
+        return self.q - 1
 
     def edges(self) -> list[tuple[int, int]]:
         # center x1, q-1 leaves
@@ -200,6 +218,10 @@ class StarSpec(_OrderSpec):
 @dataclass(frozen=True)
 class CompleteSpec(_OrderSpec):
     kind, symbol, noun, min_q = "complete", "K", "complete graph", 1
+
+    @property
+    def edge_count(self) -> int:
+        return self.q * (self.q - 1) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.q) for j in range(i + 1, self.q)]
@@ -247,6 +269,15 @@ class CirculantSpec:
     def params(self) -> str:
         return self.to_string()
 
+    @property
+    def num_vertices(self) -> int:
+        return self.q
+
+    @property
+    def edge_count(self) -> int:
+        # shift q/2 pairs each vertex with its antipode: q/2 edges, not q
+        return sum(self.q // 2 if 2 * s == self.q else self.q for s in self.shifts)
+
     def build(self) -> Graph:
         return _circulant(self.q, self.shifts)
 
@@ -280,6 +311,14 @@ class CubicCirculantSpec:
 
     def params(self) -> str:
         return f"n={self.n},a={self.a}"
+
+    @property
+    def num_vertices(self) -> int:
+        return 2 * self.n
+
+    @property
+    def edge_count(self) -> int:
+        return 3 * self.n
 
     def build(self) -> Graph:
         return _circulant(2 * self.n, (self.a, self.n))
@@ -324,6 +363,16 @@ class LadderSpec:
 
     def params(self) -> str:
         return f"n={self.n}"
+
+    @property
+    def num_vertices(self) -> int:
+        # A_n, plus the one (B) or two (C, D) vertices the supergraphs add
+        return 2 * self.n + {"A": 0, "B": 1}.get(self.family, 2)
+
+    @property
+    def edge_count(self) -> int:
+        # 3n - 2 in A_n, plus one edge per added vertex; B_0 is one vertex
+        return max(self.num_vertices + self.n - 2, 0)
 
     def build(self) -> Graph:
         family, n = self.family, self.n
@@ -383,6 +432,14 @@ class UnionSpec:
     def params(self) -> str:
         return self.to_string()
 
+    @property
+    def num_vertices(self) -> int:
+        return sum(p.num_vertices for p in self.parts)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(p.edge_count for p in self.parts)
+
     def build(self) -> Graph:
         return disjoint_union([p.build() for p in self.parts])
 
@@ -422,6 +479,13 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph(tuple(labels), tuple(adj))
 
 
+def _closed_ladder(n: int, closing: list[tuple[str, str]]) -> Graph:
+    """The ladder A_n with the ``closing`` edges added between its labels."""
+    a = LadderSpec("A", n).build()
+    added = [(a.index_of(u), a.index_of(v)) for u, v in closing]
+    return graph_from_edges(a.labels, a.edges() + added)
+
+
 def moebius_ladder(n: int) -> Graph:
     """The connected cubic circulant on 2n vertices with shifts {1, n}, in x/y labels.
 
@@ -431,14 +495,7 @@ def moebius_ladder(n: int) -> Graph:
     """
     if n < 2:
         raise GraphSpecError("moebius ladder needs n >= 2")
-    labels = _x_labels(n) + [f"y{i}" for i in range(1, n + 1)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for i in range(1, n):
-        edges += [(f"x{i}", f"x{i+1}"), (f"y{i}", f"y{i+1}")]
-    edges += [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
-    edges += [(f"x{n}", "y1"), (f"y{n}", "x1")]
-    return graph_from_edges(labels, [(index[u], index[v]) for u, v in edges])
+    return _closed_ladder(n, [(f"x{n}", "y1"), (f"y{n}", "x1")])
 
 
 def prism(n: int) -> Graph:
@@ -450,14 +507,7 @@ def prism(n: int) -> Graph:
     """
     if n < 3:
         raise GraphSpecError("prism needs n >= 3")
-    labels = _x_labels(n) + [f"y{i}" for i in range(1, n + 1)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for i in range(1, n + 1):
-        j = i % n + 1
-        edges += [(f"x{i}", f"x{j}"), (f"y{i}", f"y{j}")]
-    edges += [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
-    return graph_from_edges(labels, [(index[u], index[v]) for u, v in edges])
+    return _closed_ladder(n, [(f"x{n}", "x1"), (f"y{n}", "y1")])
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +542,6 @@ def _parse_spec(text: str) -> GraphSpec:
     if spec is None:
         raise GraphSpecError(f"cannot parse graph spec {text!r}; grammar: {_GRAMMAR}")
     return spec
-
-
-def spec_to_string(spec: GraphSpec) -> str:
-    """The spec's string form in the grammar parse_graph_spec reads."""
-    return spec.to_string()
-
-
-def spec_display_name(spec: GraphSpec) -> str:
-    """Mathematical display name, e.g. C_10(2,5) or A_4."""
-    return spec.display_name()
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +739,7 @@ def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
         if iso is None:
             raise DecompositionError(
                 f"C_{2*n}({a},{n}): component not isomorphic to "
-                f"{spec_display_name(component_spec)}"
+                f"{component_spec.display_name()}"
             )
         witnesses.append({model.labels[i]: comp.labels[w] for i, w in enumerate(iso)})
     return DecompositionReport(

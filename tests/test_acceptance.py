@@ -24,7 +24,6 @@ from circdepth.graphs import (
     graph_from_edges,
     moebius_ladder,
     prism,
-    spec_display_name,
 )
 from circdepth.homology import GF2, GF32003
 from circdepth.ideals import MonomialIdeal, edge_ideal, verify_colon_decomposition
@@ -77,8 +76,8 @@ def test_criterion_1_ladder_family_equality(oracle):
         table = oracle.betti(g, GF32003)
         pdim = table.pdim
         depth = g.num_vertices - pdim
-        assert depth == rep.depth.value, spec_display_name(spec)
-        assert pdim == rep.pdim.value, spec_display_name(spec)
+        assert depth == rep.depth.value, spec.display_name()
+        assert pdim == rep.pdim.value, spec.display_name()
         checked += 1
     assert checked == 20
     _passed(1, "ladder-family equality", f"{checked} members, n=2..6, exact")
@@ -90,8 +89,8 @@ def test_criterion_2_cubic_circulant_equality(oracle):
         g = build_graph(spec)
         pdim = oracle.betti(g, GF32003).pdim
         depth = g.num_vertices - pdim
-        assert depth == rep.depth.value, spec_display_name(spec)
-        assert pdim == rep.pdim.value, spec_display_name(spec)
+        assert depth == rep.depth.value, spec.display_name()
+        assert pdim == rep.pdim.value, spec.display_name()
     _passed(
         2, "cubic circulant equality",
         f"{len(CUBIC_SPECS)} circulants up to 14 vertices, exact",
@@ -127,7 +126,7 @@ def test_criterion_4_sdepth_solver_agreement():
     for spec, expected in SDEPTH_EXACT_CASES:
         ideal = edge_ideal(build_graph(spec))
         r = sdepth_exact(ideal)
-        assert r.is_exact and r.value == expected, spec_display_name(spec)
+        assert r.is_exact and r.value == expected, spec.display_name()
         assert validate_partition(char_poset(ideal), r.witness)
         solved += 1
     for q in range(1, 7):
@@ -138,11 +137,11 @@ def test_criterion_4_sdepth_solver_agreement():
         rep = formula_for_spec(spec)
         ideal = edge_ideal(build_graph(spec))
         r = sdepth_exact(ideal, floor=rep.sdepth.lo)
-        assert r.is_exact, spec_display_name(spec)
-        assert r.value >= rep.sdepth.lo, spec_display_name(spec)
-        assert rep.sdepth.contains(r.value), spec_display_name(spec)
+        assert r.is_exact, spec.display_name()
+        assert r.value >= rep.sdepth.lo, spec.display_name()
+        assert rep.sdepth.contains(r.value), spec.display_name()
         if rep.sdepth.is_exact:
-            assert r.value == rep.sdepth.value, spec_display_name(spec)
+            assert r.value == rep.sdepth.value, spec.display_name()
         assert validate_partition(char_poset(ideal), r.witness)
         solved += 1
     _passed(4, "Stanley depth solver agreement", f"{solved} instances, exact")
@@ -216,7 +215,7 @@ def test_criterion_6_property_suites(oracle):
         g = build_graph(spec)
         r = sdepth_exact(edge_ideal(g))
         depth = g.num_vertices - oracle.betti(g, GF32003).pdim
-        assert r.is_exact and r.value >= depth, spec_display_name(spec)
+        assert r.is_exact and r.value >= depth, spec.display_name()
         solved += 1
 
     _passed(

@@ -187,7 +187,7 @@ def test_verify_paper_crashed_row_is_error(capsys, monkeypatch):
     real = cli.evaluate
 
     def crash_on_path3(spec, *args):
-        if cli.spec_to_string(spec) == "path:3":
+        if spec.to_string() == "path:3":
             raise RuntimeError("boom")
         return real(spec, *args)
 
@@ -305,7 +305,27 @@ def test_verify_paper_builds_each_graph_once(capsys, monkeypatch):
     monkeypatch.delenv("CIRC_THREADS", raising=False)
     code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "3", "--format", "csv")
     assert code == 0
-    assert counts == {"parse": 63, "build": 64, "parse_in_row": 0, "build_in_row": 0}
+    # each invariant row builds its graph; the colon ladderA row's is built up front
+    assert counts == {"parse": 63, "build": 1, "parse_in_row": 0, "build_in_row": 63}
+
+
+def test_formula_and_refused_routes_build_no_graph(capsys, monkeypatch):
+    def no_graph(spec):
+        raise AssertionError(f"built a graph for {spec.to_string()}")
+
+    monkeypatch.setattr(cli, "build_graph", no_graph)
+    argv = ["invariants", "--graph", "cubic:50000:1", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--method", "formula")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["vertices"], obj["edges"]) == (100000, 150000)
+    for method, message in (
+        ("oracle", "error: 100000 vertices exceeds the oracle hard cap of 20; "
+                   "use --method formula for family members\n"),
+        ("sdepth", "error: 100000 variables exceeds the sdepth solver cap of 14\n"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--method", method)
+        assert (code, out, err) == (2, "", message)
 
 
 def test_decompose_examples(capsys):

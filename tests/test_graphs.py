@@ -28,8 +28,6 @@ from circdepth.graphs import (
     moebius_ladder,
     parse_graph_spec,
     prism,
-    spec_display_name,
-    spec_to_string,
 )
 
 from conftest import random_graph
@@ -240,7 +238,7 @@ def test_spec_grammar_round_trip():
         "union:(path:2;path:3)",
         "union:(cubic:3:1;union:(path:2;star:4))",
     ]:
-        assert spec_to_string(parse_graph_spec(text)) == text
+        assert parse_graph_spec(text).to_string() == text
 
 
 def test_spec_grammar_rejects_garbage():
@@ -256,9 +254,9 @@ def test_spec_grammar_rejects_garbage():
 
 
 def test_display_names():
-    assert spec_display_name(parse_graph_spec("cubic:5:2")) == "C_10(2,5)"
-    assert spec_display_name(parse_graph_spec("ladderA:4")) == "A_4"
-    assert spec_display_name(parse_graph_spec("circulant:7:1,3")) == "C_7(1,3)"
+    assert parse_graph_spec("cubic:5:2").display_name() == "C_10(2,5)"
+    assert parse_graph_spec("ladderA:4").display_name() == "A_4"
+    assert parse_graph_spec("circulant:7:1,3").display_name() == "C_7(1,3)"
 
 
 # Every spec kind, with unions nested at most two deep.
@@ -293,21 +291,25 @@ _specs = _one_deep | _unions(_one_deep)
 @given(_specs)
 @settings(max_examples=200)
 def test_spec_grammar_round_trip_property(spec):
-    text = spec_to_string(spec)
+    text = spec.to_string()
     assert parse_graph_spec(text) == spec
-    assert spec_to_string(parse_graph_spec(text)) == text
+    assert parse_graph_spec(text).to_string() == text
 
 
 @given(st.lists(_specs, min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_union_counts_are_sums_over_parts(parts):
-    g = build_graph(UnionSpec(tuple(parts)))
+    union = UnionSpec(tuple(parts))
+    g = build_graph(union)
     built = [build_graph(p) for p in parts]
     assert g.num_vertices == sum(h.num_vertices for h in built)
     assert g.edge_count == sum(h.edge_count for h in built)
+    # the specs' closed-form counts are those of the graphs they build
+    for spec, h in [(union, g), *zip(parts, built)]:
+        assert (spec.num_vertices, spec.edge_count) == (h.num_vertices, h.edge_count)
 
 
-@given(_unions(_one_deep).map(spec_to_string), st.data())
+@given(_unions(_one_deep).map(UnionSpec.to_string), st.data())
 @settings(max_examples=200)
 def test_spec_grammar_rejects_malformed_unions(text, data):
     # drop one parenthesis, double one, or leave an empty part
