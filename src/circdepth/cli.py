@@ -44,6 +44,7 @@ from .homology import (
     SLOW_TIER_MIN,
     FieldSpec,
     InvariantReport,
+    OracleMemo,
     OracleSizeError,
     oracle_invariants,
 )
@@ -79,6 +80,18 @@ ORACLE_ROUTES = ("formula", "oracle")
 _ROUTE_NAMES = {"oracle": "oracle", "sdepth": "sdepth solver"}
 
 
+# The oracle memo of the verify-paper run in this process, None outside one.
+# A memo never outlives its command: callers that run main() many times in
+# one process must see every oracle request computed.
+_memo: OracleMemo | None = None
+
+
+def _start_memo() -> None:
+    """Give this process a fresh oracle memo; each row worker starts with this."""
+    global _memo
+    _memo = OracleMemo()
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """What the requested routes computed for one graph, and the verdict on it."""
@@ -101,6 +114,7 @@ def evaluate(
     needs the spec alone.  Raises FormulaUnavailable when 'formula' is a route
     and the spec has no closed form.  Without the formula route the closed
     form, when there is one, still gives the sdepth solver its starting floor.
+    While a verify-paper run has a memo installed, the oracle answers from it.
     """
     try:
         closed = formula_for_spec(spec) if {"formula", "sdepth"} & set(routes) else None
@@ -110,7 +124,9 @@ def evaluate(
         closed = None
     formula = closed if "formula" in routes else None
     g = build_graph(spec) if {"oracle", "sdepth"} & set(routes) else None
-    oracle = oracle_invariants(g, field) if "oracle" in routes else None
+    oracle = None
+    if "oracle" in routes:
+        oracle = (_memo.invariants if _memo is not None else oracle_invariants)(g, field)
     solver = None
     if "sdepth" in routes:
         floor = closed.sdepth.lo if closed is not None else 0
@@ -436,6 +452,7 @@ def resolve_workers() -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
+    global _memo
     max_n, slow = args.max_n, args.slow
     limit = 8 if slow else 7
     if max_n > limit:
@@ -454,11 +471,15 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     runner = partial(
         _run_row, field_char=_FIELDS[args.field].characteristic, budget=args.budget_seconds
     )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(runner, tasks))
-    else:
-        rows = [runner(t) for t in tasks]
+    _start_memo()
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_memo) as pool:
+                rows = list(pool.map(runner, tasks))
+        else:
+            rows = [runner(t) for t in tasks]
+    finally:
+        _memo = None
     mismatches = sum(r.verdict == "MISMATCH" for r in rows)
     errors = sum(r.verdict == "ERROR" for r in rows)
 

@@ -614,6 +614,13 @@ def _refined_colors(g: Graph) -> tuple[int, ...]:
         colors = new
 
 
+def _check_iso_size(num_vertices: int) -> None:
+    if num_vertices > MAX_ISO_VERTICES:
+        raise IsomorphismSizeError(
+            f"too large for exact isomorphism (limit {MAX_ISO_VERTICES} vertices)"
+        )
+
+
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """Edge-preserving bijection as a tuple mapping g-vertex -> h-vertex, or None.
 
@@ -621,10 +628,7 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     MAX_ISO_VERTICES vertices.
     """
     n = g.num_vertices
-    if max(n, h.num_vertices) > MAX_ISO_VERTICES:
-        raise IsomorphismSizeError(
-            f"too large for exact isomorphism (limit {MAX_ISO_VERTICES} vertices)"
-        )
+    _check_iso_size(max(n, h.num_vertices))
     if n != h.num_vertices or g.edge_count != h.edge_count:
         return None
     if g.degree_sequence() != h.degree_sequence():
@@ -712,7 +716,8 @@ def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
     With t = gcd(2n, a): if 2n/t is even the graph is t copies of
     C_{2n/t}(1, n/t), otherwise t/2 copies of C_{4n/t}(2, 2n/t).  The claim is
     validated against the built graph (component count and per-component
-    isomorphism witnesses); a failure raises DecompositionError.
+    isomorphism witnesses); a failure raises DecompositionError.  A component
+    above MAX_ISO_VERTICES raises IsomorphismSizeError before any graph is built.
     """
     spec = CubicCirculantSpec(n, a)  # validates n, a
     t = gcd(2 * n, a)
@@ -726,6 +731,7 @@ def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
         copy_count = t // 2
         component_spec = CirculantSpec(2 * m, (2, m))
 
+    _check_iso_size(component_spec.num_vertices)
     g = build_graph(spec)
     comps = connected_components(g)
     if len(comps) != copy_count:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .graphs import Graph, bits, components_of_mask
+from .graphs import Graph, _refined_colors, bits, components_of_mask, find_isomorphism
 
 ORACLE_VERTEX_CAP = 20
 SLOW_TIER_MIN = 16
@@ -445,6 +445,30 @@ def oracle_invariants(g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
         field=field,
         method="hochster",
     )
+
+
+class OracleMemo:
+    """oracle_invariants that answers each isomorphism class once.
+
+    A stored report is returned for ``g`` only after find_isomorphism maps
+    the graph it was computed on onto ``g``, over the same field.  Graphs are
+    bucketed by an isomorphism invariant (field, vertex and edge counts, the
+    sorted refined colouring), so a bucket holds only candidates and a poor
+    key can cost a miss, never a wrong answer.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: dict[tuple, list[tuple[Graph, InvariantReport]]] = {}
+
+    def invariants(self, g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
+        key = (field, g.num_vertices, g.edge_count, tuple(sorted(_refined_colors(g))))
+        bucket = self._buckets.setdefault(key, [])
+        for h, report in bucket:
+            if find_isomorphism(h, g) is not None:
+                return report
+        report = oracle_invariants(g, field)
+        bucket.append((g, report))
+        return report
 
 
 def cross_field_check(

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from circdepth import cli
+from circdepth import cli, graphs, homology
 from circdepth.cli import CSV_COLUMNS, WorkerCountError, _verdict, main, resolve_workers
 from circdepth.formulas import FormulaReport, FormulaValue
 from circdepth.homology import GF32003, InvariantReport
@@ -363,6 +365,19 @@ def test_decompose_component_too_large_exits_2(capsys):
     assert err.startswith("error:") and "too large for exact isomorphism" in err
 
 
+def test_decompose_refuses_large_component_before_building(capsys, monkeypatch):
+    # C_40000(1,20000) took 4.7 s and 505 MB to be refused when it was built first
+    def no_graph(spec):
+        raise AssertionError(f"built a graph for {spec.to_string()}")
+
+    monkeypatch.setattr(graphs, "build_graph", no_graph)
+    for n, a in (("20000", "1"), ("13", "2")):
+        code, out, err = run_cli(capsys, "decompose", n, a)
+        assert (code, out, err) == (
+            2, "", "error: too large for exact isomorphism (limit 24 vertices)\n"
+        )
+
+
 def test_union_spec_through_all_methods(capsys):
     code, out, _ = run_cli(
         capsys, "invariants", "--graph", "union:(path:2;path:3)", "--method", "all",
@@ -389,6 +404,62 @@ def test_verify_paper_worker_count_invariant(capsys, monkeypatch):
         "path", "davis-domke", "colon-ladderA", "colon-cubic1n", "colon-cubic2n",
     }
     assert body_without_seconds(out1) == body_without_seconds(out2)
+
+
+def _count_oracle_runs(monkeypatch):
+    calls = []
+    real = homology.hochster_betti_table
+
+    def counted(g, field=homology.GF32003):
+        calls.append(g)
+        return real(g, field)
+
+    monkeypatch.setattr(homology, "hochster_betti_table", counted)
+    return calls
+
+
+def test_verify_paper_runs_the_oracle_once_per_isomorphism_class(capsys, monkeypatch):
+    # 88 oracle requests at --max-n 5 fall into 41 isomorphism classes; the
+    # memo lives for one run, so a second run computes all 41 again
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    calls = _count_oracle_runs(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "5", "--format", "csv")
+        assert code == 0
+        assert len(calls) == 41
+    assert cli._memo is None
+
+
+def test_invariants_never_reuses_an_oracle_answer(capsys, monkeypatch):
+    calls = _count_oracle_runs(monkeypatch)
+    argv = ["invariants", "--graph", "cubic:5:1", "--method", "oracle", "--format", "json"]
+    outs = [run_cli(capsys, *argv)[1] for _ in range(2)]
+    assert len(calls) == 2
+    assert [json.loads(o)["invariants"]["depth"] for o in outs] == [3, 3]
+
+
+def test_verify_paper_rows_agree_under_spawned_workers(capsys, monkeypatch):
+    # each worker gets its memo from the pool initializer, not from a forked parent
+    pools = []
+
+    def spawn_pool(**kwargs):
+        pools.append(kwargs)
+        return ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    args = ["verify-paper", "--max-n", "3", "--format", "csv"]
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    _, serial, _ = run_cli(capsys, *args)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setenv("CIRC_THREADS", "2")
+    code, spawned, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert [p["initializer"] for p in pools] == [cli._start_memo]
+    without_seconds = [
+        [r[:-1] for r in csv.reader(io.StringIO(out))] for out in (serial, spawned)
+    ]
+    assert without_seconds[0] == without_seconds[1]
 
 
 def _report(depth, pdim, sdepth, nvars):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circdepth.homology as hom
 from circdepth.graphs import (
     CompleteSpec,
     CubicCirculantSpec,
@@ -15,6 +16,7 @@ from circdepth.graphs import (
     PathSpec,
     build_graph,
     disjoint_union,
+    find_isomorphism,
     graph_from_edges,
     induced_subgraph,
 )
@@ -25,6 +27,7 @@ from circdepth.homology import (
     BettiTable,
     FieldSpec,
     InvariantReport,
+    OracleMemo,
     OracleSizeError,
     _fold_vertex,
     _homology_from_faces,
@@ -265,15 +268,77 @@ def test_oracle_matches_plain_hochster_sum(g):
         assert hochster_betti_table(g, field) == _hochster_reference(g, field)
 
 
+def _relabeled(g, rng):
+    perm = list(range(g.num_vertices))
+    rng.shuffle(perm)
+    return graph_from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 @given(_small_graphs, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_table_is_invariant_under_relabeling(g, rng):
     # the recurrence's memo keys and enumeration order follow the labeling
-    perm = list(range(g.num_vertices))
-    rng.shuffle(perm)
-    relabeled = graph_from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
+    relabeled = _relabeled(g, rng)
     for field in (GF2, RATIONALS):
         assert hochster_betti_table(relabeled, field) == hochster_betti_table(g, field)
+
+
+def _counting_oracle(mp):
+    """Patch hochster_betti_table to record its graphs; returns the record."""
+    calls = []
+    real = hom.hochster_betti_table
+
+    def counted(g, field=GF32003):
+        calls.append((g, field))
+        return real(g, field)
+
+    mp.setattr(hom, "hochster_betti_table", counted)
+    return calls
+
+
+@given(_small_graphs, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_oracle_memo_answers_a_relabeling_from_its_witness(g, rng):
+    relabeled = _relabeled(g, rng)
+    want = oracle_invariants(relabeled, GF2)
+    memo = OracleMemo()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_oracle(mp)
+        memo.invariants(g, GF2)
+        assert memo.invariants(relabeled, GF2) == want
+    assert calls == [(g, GF2)]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (CubicCirculantSpec(5, 1), CubicCirculantSpec(5, 2)),
+        (LadderSpec("C", 4), LadderSpec("D", 4)),
+        (CubicCirculantSpec(8, 1), CubicCirculantSpec(8, 2)),
+    ],
+)
+def test_oracle_memo_computes_each_class_in_a_shared_bucket(monkeypatch, first, second):
+    # same vertex and edge counts and refined colours, but not isomorphic
+    # (ladderC:5 and ladderD:5 already differ in their refined colours)
+    g, h = build_graph(first), build_graph(second)
+    assert find_isomorphism(g, h) is None
+    want = [oracle_invariants(g, GF2), oracle_invariants(h, GF2)]
+    calls = _counting_oracle(monkeypatch)
+    memo = OracleMemo()
+    assert [memo.invariants(g, GF2), memo.invariants(h, GF2)] == want
+    assert len(memo._buckets) == 1
+    assert calls == [(g, GF2), (h, GF2)]
+    assert [memo.invariants(h, GF2), memo.invariants(g, GF2)] == want[::-1]
+    assert len(calls) == 2
+
+
+def test_oracle_memo_keeps_fields_apart(monkeypatch):
+    g = build_graph(CubicCirculantSpec(4, 1))
+    calls = _counting_oracle(monkeypatch)
+    memo = OracleMemo()
+    for field in (GF2, RATIONALS, GF2, RATIONALS):
+        assert memo.invariants(g, field).field == field
+    assert calls == [(g, GF2), (g, RATIONALS)]
 
 
 @given(_small_graphs, st.data())
