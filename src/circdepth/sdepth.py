@@ -3,10 +3,14 @@
 For a squarefree ideal I the standard squarefree monomials form a
 downward-closed family of variable subsets (for an edge ideal: the
 independent sets).  S/I has Stanley depth >= k exactly when that family
-splits into disjoint intervals [A, B] whose tops all have size >= k; the
-solver runs this decision by exact-cover backtracking, descending from the
-largest k that passes Herzog's counting bound, so a budget timeout still
-leaves a certified lower bound.
+splits into disjoint intervals [A, B] whose tops all have size >= k.  Any
+such top refines into tops of size exactly k (Herzog-Vladoiu-Zheng, "How to
+compute the Stanley depth of a monomial ideal", 2009), so the decision for
+k runs by exact-cover backtracking on the elements of rank <= k alone, with
+tops of rank k; the elements above rank k stay singletons.  The solver
+certifies k upward from a known floor and stops at the first k that fails
+or at Herzog's counting bound, so a budget timeout still leaves the best
+k certified so far, with its witness.
 
 The cover state is one bitset over poset element indices (elements sort by
 rank, then mask), and each interval's cell set is a bitmask computed once
@@ -194,6 +198,13 @@ def find_partition(
 ) -> IntervalPartition | None:
     """Interval partition with every top of size >= k, or None if impossible.
 
+    Solved on the poset truncated at rank k (Herzog-Vladoiu-Zheng): a
+    partition with tops of size >= k exists exactly when the elements of
+    rank <= k split into intervals [A, B] with |B| = k, because a larger
+    top refines into tops of size k.  Those elements are a prefix of
+    ``poset.elements``; every element above rank k joins the witness as a
+    singleton [m, m].
+
     Backtracking exact cover over a bitset of uncovered element indices.
     Any minimal uncovered element must be the bottom of its interval, so
     each node branches on one element of the lowest uncovered rank: the one
@@ -205,21 +216,24 @@ def find_partition(
     it leaves no reference cycle behind for the garbage collector.
     """
     elements = poset.elements
-    big = [e for e in elements if e.bit_count() >= k]
+    if k > poset.max_rank:
+        return None
+    size = sum(poset.rank_counts[: k + 1])  # elements of rank <= k
+    tops = elements[size - poset.rank_counts[k]:size]
     supersets: list[list[int]] = []
-    for a in elements:
-        sup = [b for b in big if b & a == a]
+    for a in elements[:size]:
+        sup = [b for b in tops if b & a == a]
         if not sup:
-            return None  # this element can never sit under a large-enough top
+            return None  # this element lies under no element of rank k
         supersets.append(sup)
     index = poset._index
     masks = poset._interval_masks
-    blocks = poset._rank_blocks
+    blocks = poset._rank_blocks[: k + 1]
     shift = poset.num_vars
     # fits[i]: cell bitsets of the intervals over element i, filled on demand;
     # an interval's top is its highest-index cell
-    fits: list[list[int] | None] = [None] * len(elements)
-    uncovered = (1 << len(elements)) - 1
+    fits: list[list[int] | None] = [None] * size
+    uncovered = (1 << size) - 1
     # one frame per chosen interval: [bottom, options, position taken]
     stack: list[list] = []
     nodes = 0
@@ -231,7 +245,7 @@ def find_partition(
             return IntervalPartition(tuple(
                 Interval(bottom, elements[options[pos].bit_length() - 1])
                 for bottom, options, pos in stack
-            ))
+            ) + tuple(Interval(m, m) for m in elements[size:]))
         candidates = next(c for c in (uncovered & b for b in blocks) if c)
         best: tuple[int, list[int]] | None = None
         while candidates:
@@ -286,10 +300,14 @@ def sdepth_exact(
     """Largest k admitting an interval partition with all tops of size >= k.
 
     ``floor`` seeds the search with a known lower bound (a closed-form value
-    for recognized families); it is re-certified by an actual witness before
-    the descending search starts, so a later timeout still returns a proven
-    bound and a wrong floor raises instead of being echoed back.  The
-    descent starts at ``counting_bound``: no larger k can succeed.
+    for recognized families).  It is certified by an actual witness first,
+    so a wrong floor raises instead of being echoed back.  The search then
+    certifies k = floor + 1, floor + 2, ... up to ``counting_bound`` (no
+    larger k can succeed) and stops at the first k that admits no
+    partition; the answer is monotone in k, so the last success is exact.
+    When ``time_budget`` runs out, the result is the highest k certified so
+    far with its witness, marked "budget-exhausted" (no witness when even
+    the floor was not certified in time).
     """
     poset = char_poset(ideal)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
@@ -307,14 +325,16 @@ def sdepth_exact(
                 f"claimed lower bound {floor} admits no interval partition"
             )
 
-    for k in range(counting_bound(poset), floor, -1):
+    value, witness = floor, base
+    for k in range(floor + 1, counting_bound(poset) + 1):
         try:
             part = find_partition(poset, k, deadline)
         except _Budget:
-            return SdepthResult(floor, False, base, "budget-exhausted")
-        if part is not None:
-            return SdepthResult(k, True, part, "exact")
-    return SdepthResult(floor, True, base, "exact")
+            return SdepthResult(value, False, witness, "budget-exhausted")
+        if part is None:
+            break
+        value, witness = k, part
+    return SdepthResult(value, True, witness, "exact")
 
 
 def sdepth_zero_check(ideal: MonomialIdeal) -> bool:

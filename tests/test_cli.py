@@ -153,6 +153,17 @@ def test_sdepth_method_cap(capsys):
     assert "sdepth solver" in err
 
 
+def test_sdepth_budget_stop_reports_best_certified(capsys):
+    # the formula floor for C_14(1,7) is 3; k = 4 is certified at once and
+    # k = 5 outlasts the budget, so the reported lower bound is 4
+    code, out, _ = run_cli(
+        capsys, "invariants", "--graph", "cubic:7:1", "--method", "sdepth",
+        "--budget-seconds", "2", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["invariants"]["sdepth"] == {"hi": None, "lo": 4}
+
+
 def test_verify_paper_small(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "3", "--format", "csv")
     assert code == 0
