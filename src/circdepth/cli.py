@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from typing import Callable, Collection
@@ -26,6 +25,7 @@ from .formulas import FormulaReport, FormulaUnavailable, formula_for_spec
 from .graphs import (
     CubicCirculantSpec,
     DecompositionError,
+    Graph,
     GraphSpec,
     GraphSpecError,
     IsomorphismSizeError,
@@ -80,18 +80,6 @@ ORACLE_ROUTES = ("formula", "oracle")
 _ROUTE_NAMES = {"oracle": "oracle", "sdepth": "sdepth solver"}
 
 
-# The oracle memo of the verify-paper run in this process, None outside one.
-# A memo never outlives its command: callers that run main() many times in
-# one process must see every oracle request computed.
-_memo: OracleMemo | None = None
-
-
-def _start_memo() -> None:
-    """Give this process a fresh oracle memo; each row worker starts with this."""
-    global _memo
-    _memo = OracleMemo()
-
-
 @dataclass(frozen=True)
 class Evaluation:
     """What the requested routes computed for one graph, and the verdict on it."""
@@ -107,6 +95,7 @@ def evaluate(
     routes: Collection[str],
     field: FieldSpec,
     budget: float | None,
+    oracle: Callable[[Graph, FieldSpec], InvariantReport] = oracle_invariants,
 ) -> Evaluation:
     """Run the routes ('formula', 'oracle', 'sdepth') on ``spec`` and compare them.
 
@@ -114,7 +103,7 @@ def evaluate(
     needs the spec alone.  Raises FormulaUnavailable when 'formula' is a route
     and the spec has no closed form.  Without the formula route the closed
     form, when there is one, still gives the sdepth solver its starting floor.
-    While a verify-paper run has a memo installed, the oracle answers from it.
+    ``oracle`` answers the oracle route; verify-paper passes its run's memo.
     """
     try:
         closed = formula_for_spec(spec) if {"formula", "sdepth"} & set(routes) else None
@@ -124,14 +113,12 @@ def evaluate(
         closed = None
     formula = closed if "formula" in routes else None
     g = build_graph(spec) if {"oracle", "sdepth"} & set(routes) else None
-    oracle = None
-    if "oracle" in routes:
-        oracle = (_memo.invariants if _memo is not None else oracle_invariants)(g, field)
+    report = oracle(g, field) if "oracle" in routes else None
     solver = None
     if "sdepth" in routes:
         floor = closed.sdepth.lo if closed is not None else 0
         solver = sdepth_exact(edge_ideal(g), time_budget=budget, floor=floor)
-    return Evaluation(formula, oracle, solver, _verdict(formula, oracle, solver))
+    return Evaluation(formula, report, solver, _verdict(formula, report, solver))
 
 
 def _verdict(
@@ -334,9 +321,9 @@ def _render_invariants(args, spec, result: Evaluation, payload):
 class RowTask:
     """One verify-paper row: ``check(field, budget)`` returns its cells.
 
-    ``check`` is a partial of a module-level function, so a task pickles
-    into a row worker together with the spec (or, for a colon row, the
-    graph) it checks.
+    ``check`` binds what the row checks: the spec, its routes and the run's
+    oracle memo, or the graph of a colon row, or the n and a of a
+    decomposition row.
     """
 
     family: str
@@ -344,8 +331,8 @@ class RowTask:
     check: Callable[[FieldSpec, float | None], dict[str, str]]
 
 
-def _invariant_cells(spec, routes, field, budget) -> dict[str, str]:
-    return _evaluation_cells(evaluate(spec, routes, field, budget))
+def _invariant_cells(spec, routes, oracle, field, budget) -> dict[str, str]:
+    return _evaluation_cells(evaluate(spec, routes, field, budget, oracle))
 
 
 def _decomposition_cells(n, a, field, budget) -> dict[str, str]:
@@ -371,12 +358,18 @@ def _colon_cells(g, pivot, field, budget) -> dict[str, str]:
 
 
 def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
+    """The table's rows, in order.
+
+    The invariant rows share one fresh oracle memo, so the run computes each
+    isomorphism class once per field and keeps nothing after it ends.
+    """
     tasks: list[RowTask] = []
+    memo = OracleMemo()
 
     def add(family: str, text: str, routes=ORACLE_ROUTES, params: str = "") -> None:
         spec = parse_graph_spec(text)
         if not _skipped_routes(spec.num_vertices, routes, slow):
-            check = partial(_invariant_cells, spec, routes)
+            check = partial(_invariant_cells, spec, routes, memo.invariants)
             tasks.append(RowTask(family, params or spec.params(), check))
 
     for kind, low in (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)):
@@ -433,26 +426,7 @@ def _run_row(task: RowTask, field_char: int, budget: float | None) -> Verificati
     )
 
 
-class WorkerCountError(ValueError):
-    """CIRC_THREADS is not a positive integer."""
-
-
-def resolve_workers() -> int:
-    """verify-paper row workers: CIRC_THREADS, else 1.
-
-    The value must be a positive integer in ASCII digits and is capped at
-    os.cpu_count().  An empty CIRC_THREADS counts as unset.
-    """
-    env = os.environ.get("CIRC_THREADS", "")
-    if not env:
-        return 1
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
-        raise WorkerCountError(f"CIRC_THREADS must be a positive integer, got {env!r}")
-    return min(int(env), os.cpu_count() or 1)
-
-
 def cmd_verify_paper(args: argparse.Namespace) -> int:
-    global _memo
     max_n, slow = args.max_n, args.slow
     limit = 8 if slow else 7
     if max_n > limit:
@@ -465,21 +439,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     if max_n < 2:
         print(f"error: --max-n {max_n} is below 2, the smallest n", file=sys.stderr)
         return 2
-    workers = resolve_workers()
     _check_out(args.out)
-    tasks = _verify_tasks(max_n, slow)
-    runner = partial(
-        _run_row, field_char=_FIELDS[args.field].characteristic, budget=args.budget_seconds
-    )
-    _start_memo()
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_start_memo) as pool:
-                rows = list(pool.map(runner, tasks))
-        else:
-            rows = [runner(t) for t in tasks]
-    finally:
-        _memo = None
+    field_char = _FIELDS[args.field].characteristic
+    rows = [_run_row(t, field_char, args.budget_seconds) for t in _verify_tasks(max_n, slow)]
     mismatches = sum(r.verdict == "MISMATCH" for r in rows)
     errors = sum(r.verdict == "ERROR" for r in rows)
 
@@ -656,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (OracleSizeError, WorkerCountError, OutputError) as exc:
+    except (OracleSizeError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,13 +3,11 @@
 import csv
 import io
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from circdepth import cli, graphs, homology
-from circdepth.cli import CSV_COLUMNS, WorkerCountError, _verdict, main, resolve_workers
+from circdepth.cli import CSV_COLUMNS, _verdict, main
 from circdepth.formulas import FormulaReport, FormulaValue
 from circdepth.homology import GF32003, InvariantReport
 from circdepth.sdepth import SdepthResult
@@ -204,7 +202,6 @@ def test_verify_paper_crashed_row_is_error(capsys, monkeypatch):
             raise RuntimeError("boom")
         return real(spec, *args)
 
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
     monkeypatch.setattr(cli, "evaluate", crash_on_path3)
     code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "2", "--format", "csv")
     assert code == 1
@@ -273,7 +270,6 @@ def test_unwritable_out_fails_before_any_row(capsys, monkeypatch, tmp_path):
     calls = []
     real = cli._run_row
     monkeypatch.setattr(cli, "_run_row", lambda *a, **k: calls.append(a) or real(*a, **k))
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(capsys, "verify-paper", "--max-n", "7", "--out", str(target))
     assert code == 2
@@ -315,7 +311,6 @@ def test_verify_paper_builds_each_graph_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "parse_graph_spec", counted("parse", cli.parse_graph_spec))
     monkeypatch.setattr(cli, "build_graph", counted("build", cli.build_graph))
     monkeypatch.setattr(cli, "_run_row", row)
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
     code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "3", "--format", "csv")
     assert code == 0
     # each invariant row builds its graph; the colon ladderA row's is built up front
@@ -400,21 +395,30 @@ def test_union_spec_through_all_methods(capsys):
     assert obj["invariants"]["sdepth"]["exact"] == 2
 
 
-def test_verify_paper_worker_count_invariant(capsys, monkeypatch):
-    def body_without_seconds(out):
-        rows = list(csv.reader(io.StringIO(out)))
-        return [r[:-1] for r in rows]
+def _rows_without_seconds(out):
+    return [r[:-1] for r in csv.reader(io.StringIO(out))]
 
-    # n = 3 is the first n with colon rows, so every row kind goes to a worker
-    args = ["verify-paper", "--max-n", "3", "--format", "csv"]
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
-    _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("CIRC_THREADS", "2")
-    _, out2, _ = run_cli(capsys, *args)
-    assert {r[0] for r in body_without_seconds(out1)} >= {
+
+def test_verify_paper_covers_every_row_kind(capsys):
+    # n = 3 is the first n with colon rows
+    code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "3", "--format", "csv")
+    assert code == 0
+    assert {r[0] for r in _rows_without_seconds(out)} >= {
         "path", "davis-domke", "colon-ladderA", "colon-cubic1n", "colon-cubic2n",
     }
-    assert body_without_seconds(out1) == body_without_seconds(out2)
+
+
+@pytest.mark.parametrize("env", ["abc", "2"])
+def test_verify_paper_ignores_circ_threads(capsys, monkeypatch, env):
+    # the table runs serially in one process and reads no environment variable
+    args = ["verify-paper", "--max-n", "2", "--format", "csv"]
+    monkeypatch.delenv("CIRC_THREADS", raising=False)
+    code, unset, _ = run_cli(capsys, *args)
+    assert code == 0
+    monkeypatch.setenv("CIRC_THREADS", env)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert _rows_without_seconds(out) == _rows_without_seconds(unset)
 
 
 def _count_oracle_runs(monkeypatch):
@@ -432,14 +436,12 @@ def _count_oracle_runs(monkeypatch):
 def test_verify_paper_runs_the_oracle_once_per_isomorphism_class(capsys, monkeypatch):
     # 88 oracle requests at --max-n 5 fall into 41 isomorphism classes; the
     # memo lives for one run, so a second run computes all 41 again
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
     calls = _count_oracle_runs(monkeypatch)
     for _ in range(2):
         calls.clear()
         code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "5", "--format", "csv")
         assert code == 0
         assert len(calls) == 41
-    assert cli._memo is None
 
 
 def test_invariants_never_reuses_an_oracle_answer(capsys, monkeypatch):
@@ -450,56 +452,10 @@ def test_invariants_never_reuses_an_oracle_answer(capsys, monkeypatch):
     assert [json.loads(o)["invariants"]["depth"] for o in outs] == [3, 3]
 
 
-def test_verify_paper_rows_agree_under_spawned_workers(capsys, monkeypatch):
-    # each worker gets its memo from the pool initializer, not from a forked parent
-    pools = []
-
-    def spawn_pool(**kwargs):
-        pools.append(kwargs)
-        return ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn"), **kwargs)
-
-    args = ["verify-paper", "--max-n", "3", "--format", "csv"]
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
-    monkeypatch.setenv("CIRC_THREADS", "2")
-    code, spawned, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert [p["initializer"] for p in pools] == [cli._start_memo]
-    without_seconds = [
-        [r[:-1] for r in csv.reader(io.StringIO(out))] for out in (serial, spawned)
-    ]
-    assert without_seconds[0] == without_seconds[1]
-
-
 def _report(depth, pdim, sdepth, nvars):
     return FormulaReport(
         depth=depth, sdepth=sdepth, pdim=pdim, source="synthetic", ambient_vars=nvars
     )
-
-
-@pytest.mark.parametrize("env", ["abc", "-4", "0"])
-def test_bad_worker_count_exits_2(capsys, monkeypatch, env):
-    monkeypatch.setenv("CIRC_THREADS", env)
-    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "2")
-    assert code == 2
-    assert out == ""
-    assert "CIRC_THREADS must be a positive integer" in err
-
-
-def test_resolve_workers(monkeypatch):
-    # only the count is resolved here; no pool is started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("CIRC_THREADS", raising=False)
-    assert resolve_workers() == 1
-    for env, want in (("", 1), ("1", 1), ("3", 3), ("4", 4), ("1000", 4)):
-        monkeypatch.setenv("CIRC_THREADS", env)
-        assert resolve_workers() == want
-    for env in ("abc", "-4", "0", "+2", "2.5", " 2", "٣"):
-        monkeypatch.setenv("CIRC_THREADS", env)
-        with pytest.raises(WorkerCountError, match="CIRC_THREADS"):
-            resolve_workers()
 
 
 def test_verdict_logic():
