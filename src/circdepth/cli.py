@@ -414,11 +414,11 @@ def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
     return tasks
 
 
-def _run_row(task: RowTask, field_char: int, budget: float | None) -> VerificationRow:
+def _run_row(task: RowTask, field: FieldSpec, budget: float | None) -> VerificationRow:
     """Run and time one row; a crashed row is reported as ERROR, and the table goes on."""
     t0 = time.perf_counter()
     try:
-        cells = task.check(FieldSpec(field_char), budget)
+        cells = task.check(field, budget)
     except Exception as exc:
         cells = {"verdict": "ERROR", "theorem": f"error: {exc}"}
     return VerificationRow(
@@ -440,8 +440,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         print(f"error: --max-n {max_n} is below 2, the smallest n", file=sys.stderr)
         return 2
     _check_out(args.out)
-    field_char = _FIELDS[args.field].characteristic
-    rows = [_run_row(t, field_char, args.budget_seconds) for t in _verify_tasks(max_n, slow)]
+    field = _FIELDS[args.field]
+    rows = [_run_row(t, field, args.budget_seconds) for t in _verify_tasks(max_n, slow)]
     mismatches = sum(r.verdict == "MISMATCH" for r in rows)
     errors = sum(r.verdict == "ERROR" for r in rows)
 

@@ -6,23 +6,35 @@ This module evaluates that sum, computes reduced homology by exact rank
 computations over a chosen field, and extracts depth, projective dimension
 and regularity from the resulting table.
 
-Three reductions, all exact over every field:
+Four reductions, all exact over every field:
   * component transfer: the homology of Ind(G[sigma]) is the join over the
     components of G[sigma] and vanishes when one of them is a single vertex
     or acyclic, so the sum runs over unions of pairwise separated connected
     sets of size >= 2 (_HochsterSum), not over all 2^q subsets,
-  * each connected set's homology is computed once per call and reused,
-  * the fold lemma (Engstrom, "Independence complexes of claw-free graphs",
-    2008): if N(u) is contained in N(w) for u != w, then Ind(G) is homotopy
-    equivalent to Ind(G - w), so a component with such a pair is replaced by
-    the smaller graph, which splits and folds again.  Only components with no
-    fold pair reach face enumeration and rank computation.
+  * the homology of each induced subgraph is computed once per call and
+    reused,
+  * the leaf lemma (Engstrom, "Independence complexes of claw-free graphs",
+    2008; the splitting of Adamaszek, "Splittings of independence complexes
+    and the powers of cycles", 2012): if u is a leaf of H with neighbour w,
+    then Ind(H) is homotopy equivalent to the suspension of Ind(H - N[w]).
+    It is used twice.  In the sum, a leaf v of G[U] splits the subsets of U
+    into those without v and those with v and w, whose homology is that of
+    U - N[w] suspended, so the sum over them is one product with Z(U - N[w]);
+    a forest never reaches connected sets or faces.  In the homology of one
+    induced subgraph, a leaf replaces the subgraph by its suspended
+    remainder in one step,
+  * the fold lemma (same paper): if N(u) is contained in N(w) for u != w,
+    then Ind(G) is homotopy equivalent to Ind(G - w), so a leafless
+    component with such a pair is replaced by the smaller graph, which
+    splits and folds again.  Only components with no leaf and no fold pair
+    reach face enumeration and rank computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Sequence
 
 from .graphs import Graph, _refined_colors, bits, components_of_mask, find_isomorphism
@@ -284,14 +296,20 @@ def _independence_faces_by_size(adjacency: Sequence[int], mask: int) -> list[lis
     return faces
 
 
-def _has_isolated(adjacency: Sequence[int], mask: int) -> bool:
+def _pendant(adjacency: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """(v, N(v) & mask) for the lowest vertex v of degree <= 1 in G[mask], or None.
+
+    The neighbourhood is 0 when v is isolated and one bit when v is a leaf.
+    """
     m = mask
     while m:
         low = m & -m
-        if not adjacency[low.bit_length() - 1] & mask:
-            return True
+        v = low.bit_length() - 1
+        nbr = adjacency[v] & mask
+        if not nbr & (nbr - 1):
+            return v, nbr
         m ^= low
-    return False
+    return None
 
 
 def _join(a: Homology, b: Homology) -> Homology:
@@ -341,76 +359,122 @@ def _connected_sets(
             yield comp, nbrs  # a connected C of size >= 2 lies inside its N(C)
 
 
+# Sums are kept as {(|sigma|, s): multiplicity}.
+SubsetSum = dict[tuple[int, int], int]
+
+
+def _add_product(
+    z: SubsetSum, factor: Sequence[tuple[int, int, int]], other: SubsetSum
+) -> None:
+    """z += factor * other, where factor lists (size, s, multiplicity) terms."""
+    for (j, r), mult in other.items():
+        for size, s, dim in factor:
+            key = (j + size, r + s)
+            z[key] = z.get(key, 0) + mult * dim
+
+
 class _HochsterSum:
-    """Hochster's sum for one graph and field by component transfer.
+    """Hochster's sum for one graph and field by leaf splitting and component transfer.
 
     Z(U) is the sum over subsets sigma of U of the homology of Ind(G[sigma]),
-    kept as {(|sigma|, s): sum of dim H~_{s-1}}.  The homology of
-    Ind(G[sigma]) is the join over the components of G[sigma], and it
-    vanishes when one of them is a single vertex or acyclic.  Splitting off
-    the component C of the lowest vertex v of U gives
+    kept as {(|sigma|, s): sum of dim H~_{s-1}}, with Z({}) = 1.  A term
+    x^k y^s of a product adds k to each size and s to each index.  With v the
+    lowest vertex of degree <= 1 in G[U]:
 
-        Z(U) = Z(U - v) + sum of x^|C| h_C Z(U - N[C]),   Z({}) = 1,
+      * v isolated: every sigma containing v is a cone, so Z(U) = Z(U - v);
+      * v a leaf with neighbour w: a sigma containing v and w is the
+        suspension of Ind(G[sigma - N[w]]) by the leaf lemma, whichever of the
+        other t = |N(w) & U| - 1 neighbours of w it contains, so
 
-    over connected C with v in C <= U, |C| >= 2 and h_C != 0, where the
-    product with x^|C| h_C adds |C| to each size and joins with h_C.  Both Z
-    and h_C are memoised for the whole object.
+            Z(U) = Z(U - v) + x^2 (1 + x)^t y Z(U - N[w]);
+
+      * no such v: the homology of Ind(G[sigma]) is the join over the
+        components of G[sigma] and vanishes when one of them is a single
+        vertex or acyclic, so splitting off the component C of the lowest
+        vertex v of U gives
+
+            Z(U) = Z(U - v) + sum of x^|C| h_C Z(U - N[C])
+
+        over connected C with v in C <= U, |C| >= 2 and h_C != 0.
+
+    Both Z and the homology of each induced subgraph are memoised for the
+    whole object.
     """
 
     def __init__(self, adjacency: Sequence[int], field: FieldSpec) -> None:
         self.adjacency = adjacency
         self.field = field
-        self.sums: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
-        self.homology: dict[int, Homology] = {}
+        self.sums: dict[int, SubsetSum] = {0: {(0, 0): 1}}
+        self.homology: dict[int, Homology] = {0: ((0, 1),)}  # Ind of the empty graph
 
-    def subset_sum(self, within: int) -> dict[tuple[int, int], int]:
-        """Z(within)."""
+    def subset_sum(self, within: int) -> SubsetSum:
+        """Z(within); the dict is the memo's own, and an isolated vertex's
+        rule stores it under two keys, so callers must not change it."""
         z = self.sums.get(within)
         if z is None:
-            low = within & -within
-            z = dict(self.subset_sum(within ^ low))
-            for comp, closed in _connected_sets(self.adjacency, low, within):
-                h = self.component_homology(comp)
-                if not h:
-                    continue
-                # add x^|C| h_C Z(within - N[C]), where C = comp and N[C] = closed
-                size = comp.bit_count()
-                for (j, r), mult in self.subset_sum(within & ~closed).items():
-                    for s, dim in h:
-                        key = (j + size, r + s)
-                        z[key] = z.get(key, 0) + mult * dim
+            adjacency = self.adjacency
+            pendant = _pendant(adjacency, within)
+            if pendant is not None:
+                v, nbr = pendant
+                z = self.subset_sum(within ^ (1 << v))
+                if nbr:
+                    z = dict(z)
+                    w = nbr.bit_length() - 1
+                    t = (adjacency[w] & within).bit_count() - 1
+                    factor = [(2 + a, 1, comb(t, a)) for a in range(t + 1)]
+                    rest = within & ~(adjacency[w] | nbr)
+                    _add_product(z, factor, self.subset_sum(rest))
+            else:
+                low = within & -within
+                z = dict(self.subset_sum(within ^ low))
+                for comp, closed in _connected_sets(adjacency, low, within):
+                    h = self.induced_homology(comp)
+                    if h:
+                        size = comp.bit_count()
+                        factor = [(size, s, dim) for s, dim in h]
+                        _add_product(z, factor, self.subset_sum(within & ~closed))
             self.sums[within] = z
         return z
 
-    def component_homology(self, comp: int) -> Homology:
-        """Reduced homology of Ind(G[comp]) for a connected ``comp`` of size >= 2.
+    def induced_homology(self, mask: int) -> Homology:
+        """Reduced homology of Ind(G[mask]).
 
-        A fold pair removes its vertex w; comp - w is a cone if it has an
-        isolated vertex, else the join over its components.  A fold-free
-        component goes to face enumeration and ranks.
+        With v the lowest vertex of degree <= 1, an isolated v makes a cone
+        and a leaf v with neighbour w the suspension of Ind(G[mask - N[w]]).
+        Without one, a disconnected mask gives the join over its components, a
+        fold pair removes its vertex w, and a component with neither goes to
+        face enumeration and ranks.
         """
-        h = self.homology.get(comp)
+        h = self.homology.get(mask)
         if h is None:
             adjacency = self.adjacency
-            w = _fold_vertex(adjacency, comp)
-            if w is None:
-                faces = _independence_faces_by_size(adjacency, comp)
-                h = tuple(
-                    (s, dim)
-                    for s, dim in enumerate(_homology_from_faces(faces, self.field))
-                    if dim
-                )
-            else:
-                rest = comp & ~(1 << w)
+            pendant = _pendant(adjacency, mask)
+            if pendant is not None:
+                nbr = pendant[1]
                 h = ()
-                if not _has_isolated(adjacency, rest):
-                    first, *others = components_of_mask(adjacency, rest)
-                    h = self.component_homology(first)
-                    for part in others:
+                if nbr:
+                    rest = mask & ~(adjacency[nbr.bit_length() - 1] | nbr)
+                    h = tuple((s + 1, dim) for s, dim in self.induced_homology(rest))
+            else:
+                parts = components_of_mask(adjacency, mask)
+                if len(parts) > 1:
+                    h = ((0, 1),)  # the unit of the join
+                    for part in parts:
+                        h = _join(h, self.induced_homology(part))
                         if not h:
                             break
-                        h = _join(h, self.component_homology(part))
-            self.homology[comp] = h
+                else:
+                    w = _fold_vertex(adjacency, mask)
+                    if w is None:
+                        faces = _independence_faces_by_size(adjacency, mask)
+                        h = tuple(
+                            (s, dim)
+                            for s, dim in enumerate(_homology_from_faces(faces, self.field))
+                            if dim
+                        )
+                    else:
+                        h = self.induced_homology(mask ^ (1 << w))
+            self.homology[mask] = h
         return h
 
 

@@ -9,7 +9,7 @@ import pytest
 from circdepth import cli, graphs, homology
 from circdepth.cli import CSV_COLUMNS, _verdict, main
 from circdepth.formulas import FormulaReport, FormulaValue
-from circdepth.homology import GF32003, InvariantReport
+from circdepth.homology import GF2, GF32003, InvariantReport
 from circdepth.sdepth import SdepthResult
 
 
@@ -276,6 +276,20 @@ def test_unwritable_out_fails_before_any_row(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert err.startswith("error: cannot write --out")
     assert calls == []
+
+
+def test_verify_paper_passes_the_field_to_each_row(capsys, monkeypatch):
+    fields = []
+    real = cli._run_row
+
+    def row(task, field, budget):
+        fields.append(field)
+        return real(task, field, budget)
+
+    monkeypatch.setattr(cli, "_run_row", row)
+    code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "2", "--field", "2")
+    assert code == 0
+    assert fields and all(field is GF2 for field in fields)
 
 
 def test_out_probe_leaves_no_file_on_exit_2(capsys, tmp_path):

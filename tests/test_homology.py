@@ -14,11 +14,13 @@ from circdepth.graphs import (
     CycleSpec,
     LadderSpec,
     PathSpec,
+    StarSpec,
     build_graph,
     disjoint_union,
     find_isomorphism,
     graph_from_edges,
     induced_subgraph,
+    parse_graph_spec,
 )
 from circdepth.homology import (
     GF2,
@@ -236,7 +238,7 @@ def test_table_entry_shape():
 def _hochster_reference(g, field):
     """Reference Betti table: Hochster's sum over every vertex subset, taking
     the homology of each whole induced independence complex (no isolated-vertex
-    skip, no component split, no folds)."""
+    skip, no component split, no leaf split, no folds)."""
     beta = {}
     for mask in range(1 << g.num_vertices):
         j = mask.bit_count()
@@ -254,17 +256,70 @@ def _graph_from_pairs(n, keep):
     )
 
 
-_small_graphs = st.integers(1, 9).flatmap(
-    lambda n: st.lists(
-        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
-    ).map(lambda keep: _graph_from_pairs(n, keep))
-)
+def _graphs_up_to(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+        ).map(lambda keep: _graph_from_pairs(n, keep))
+    )
+
+
+_small_graphs = _graphs_up_to(9)
 
 
 @given(_small_graphs)
 @settings(max_examples=40, deadline=None)
 def test_oracle_matches_plain_hochster_sum(g):
     for field in (GF2, GF32003, RATIONALS):
+        assert hochster_betti_table(g, field) == _hochster_reference(g, field)
+
+
+def _forest(n, parents):
+    """A forest where vertex v > 0 hangs from parents[v - 1] < v, or starts a
+    new tree when that is -1."""
+    edges = [(p, v) for v, p in enumerate(parents, start=1) if p >= 0]
+    return graph_from_edges([f"v{i+1}" for i in range(n)], edges)
+
+
+_forests = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(*(st.integers(-1, v - 1) for v in range(1, n))).map(
+        lambda parents: _forest(n, parents)
+    )
+)
+
+
+def _with_pendants(core, paths, isolated):
+    """core plus a pendant path of each (vertex, length) in paths, plus
+    isolated vertices."""
+    n = core.num_vertices
+    edges = list(core.edges())
+    for at, length in paths:
+        prev = at % n
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    n += isolated
+    return graph_from_edges([f"v{i+1}" for i in range(n)], edges)
+
+
+_pendant_graphs = st.builds(
+    _with_pendants,
+    _graphs_up_to(5),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=2),
+    st.integers(0, 2),
+)
+
+_stars = st.integers(2, 9).map(lambda q: build_graph(StarSpec(q)))
+
+
+@given(st.one_of(_forests, _pendant_graphs, _stars), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_leaf_splitting_matches_plain_hochster_sum(g, rng):
+    # leaves and isolated vertices take the leaf and cone rules, in the sum
+    # and in the homology of one induced subgraph; a star's centre gives the
+    # (1 + x)^t factor its largest t
+    g = _relabeled(g, rng)
+    for field in (GF2, FieldSpec(3), RATIONALS):
         assert hochster_betti_table(g, field) == _hochster_reference(g, field)
 
 
@@ -377,11 +432,12 @@ def test_fold_reduction_bounds_face_enumerations(monkeypatch):
 
 def test_component_transfer_bounds_isolated_checks(monkeypatch):
     # cubic:6:1 made >= 4,096 isolated-vertex checks (one per subset) when
-    # Hochster's sum walked every vertex subset
+    # Hochster's sum walked every vertex subset; the check is _pendant, which
+    # finds an isolated vertex or a leaf
     import circdepth.homology as hom
 
     counts = {"isolated": 0, "faces": 0}
-    real_isolated = hom._has_isolated
+    real_isolated = hom._pendant
     real_faces = hom._independence_faces_by_size
 
     def isolated(adjacency, mask):
@@ -392,11 +448,40 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
         counts["faces"] += 1
         return real_faces(adjacency, mask)
 
-    monkeypatch.setattr(hom, "_has_isolated", isolated)
+    monkeypatch.setattr(hom, "_pendant", isolated)
     monkeypatch.setattr(hom, "_independence_faces_by_size", faces)
     hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
     assert 0 < counts["isolated"] <= 2000
     assert 0 < counts["faces"] <= 100
+
+
+@pytest.mark.parametrize(
+    "text, connected_sets, faces",
+    [
+        ("path:13", 0, 0),
+        ("star:8", 0, 0),
+        ("union:(path:5;star:4)", 0, 0),
+        # the whole cycle has no leaf; every proper subset is a forest
+        ("cycle:13", 1, 1),
+    ],
+)
+def test_leaf_splitting_counts(monkeypatch, text, connected_sets, faces):
+    counts = {"_connected_sets": 0, "_independence_faces_by_size": 0}
+
+    def counted(name):
+        real = getattr(hom, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(hom, name, counted(name))
+    hochster_betti_table(build_graph(parse_graph_spec(text)), GF2)
+    assert counts["_connected_sets"] == connected_sets
+    assert counts["_independence_faces_by_size"] == faces
 
 
 @pytest.mark.parametrize(
