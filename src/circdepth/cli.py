@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Collection
 
 from .formulas import FormulaReport, FormulaUnavailable, formula_for_spec
@@ -576,7 +576,13 @@ def _budget_seconds(text: str) -> float:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and kept for the process.
+
+    ``parse_args`` returns a fresh Namespace on each call and leaves the
+    parser as it was, so one parser serves every request.
+    """
     parser = argparse.ArgumentParser(
         prog="circdepth",
         description="Depth, Stanley depth and projective dimension of edge "

@@ -716,7 +716,8 @@ def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
     With t = gcd(2n, a): if 2n/t is even the graph is t copies of
     C_{2n/t}(1, n/t), otherwise t/2 copies of C_{4n/t}(2, 2n/t).  The claim is
     validated against the built graph (component count and per-component
-    isomorphism witnesses); a failure raises DecompositionError.  A component
+    isomorphism witnesses); a failure raises DecompositionError.  Components
+    with equal induced adjacency share one isomorphism search.  A component
     above MAX_ISO_VERTICES raises IsomorphismSizeError before any graph is built.
     """
     spec = CubicCirculantSpec(n, a)  # validates n, a
@@ -739,9 +740,14 @@ def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
             f"C_{2*n}({a},{n}): expected {copy_count} components, found {len(comps)}"
         )
     model = build_graph(component_spec)
+    # The components are translates, so they share one positional adjacency
+    # tuple and one search answers them all; find_isomorphism reads nothing else.
+    isos: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     witnesses = []
     for mask, comp in comps:
-        iso = find_isomorphism(model, comp)
+        if comp.adjacency not in isos:
+            isos[comp.adjacency] = find_isomorphism(model, comp)
+        iso = isos[comp.adjacency]
         if iso is None:
             raise DecompositionError(
                 f"C_{2*n}({a},{n}): component not isomorphic to "

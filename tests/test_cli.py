@@ -1,5 +1,6 @@
 """CLI surface: spec grammar, output formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -396,6 +397,36 @@ def test_decompose_refuses_large_component_before_building(capsys, monkeypatch):
         assert (code, out, err) == (
             2, "", "error: too large for exact isomorphism (limit 24 vertices)\n"
         )
+
+
+def test_main_builds_one_parser_and_keeps_no_state(capsys, monkeypatch):
+    # the parser is built on the first call and reused; each call parses into
+    # a fresh Namespace, so no option or failure carries over to the next
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._build_parser.cache_clear()
+    oracle = ["invariants", "--graph", "cubic:8:1", "--method", "oracle"]
+    assert run_cli(capsys, *oracle, "--slow")[0] == 0
+    assert built
+    built.clear()
+    code, out, err = run_cli(capsys, *oracle)
+    assert (code, out) == (2, "") and "pass --slow" in err
+    assert run_cli(capsys, "decompose", "4", "4")[0] == 2
+    assert run_cli(capsys, "decompose", "4", "2")[0] == 0
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: circdepth")
+    assert built == []
 
 
 def test_union_spec_through_all_methods(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circdepth import graphs
 from circdepth.graphs import (
     CirculantSpec,
     CompleteSpec,
@@ -211,6 +212,31 @@ def test_davis_domke_report_invariants():
         assert len(rep.witness_isos) == rep.copy_count
         for witness in rep.witness_isos:
             assert sorted(witness) == sorted(comp.labels)
+
+
+def test_davis_domke_searches_once_per_decomposition(monkeypatch):
+    # the components are translates with one induced adjacency tuple, so one
+    # search serves them all, and each witness is the one a search would give
+    real = graphs.find_isomorphism
+    calls = []
+
+    def counted(g, h):
+        calls.append(h)
+        return real(g, h)
+
+    monkeypatch.setattr(graphs, "find_isomorphism", counted)
+    for n in range(2, 13):
+        for a in range(1, n):
+            calls.clear()
+            rep = davis_domke_decompose(n, a)
+            assert len(calls) == 1, (n, a)
+            model = build_graph(rep.component_spec)
+            comps = connected_components(build_graph(CubicCirculantSpec(n, a)))
+            expected = []
+            for _, comp in comps:
+                iso = real(model, comp)
+                expected.append({model.labels[i]: comp.labels[w] for i, w in enumerate(iso)})
+            assert list(rep.witness_isos) == expected, (n, a)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
