@@ -63,7 +63,6 @@ from .ideals import (
     ColonSummand,
     DegreeCapError,
     MonomialIdeal,
-    SquarefreeMonomial,
     add_monomials,
     colon_by_monomial,
     colon_decomposition,

@@ -319,18 +319,11 @@ def formula_for_spec(spec: GraphSpec) -> FormulaReport:
         if len(parts) == 1:
             return parts[0]
         nv = sum(p.ambient_vars for p in parts)
-        depth_lo = sum(p.depth.lo for p in parts)
-        if all(p.depth.is_exact for p in parts):
-            depth = FormulaValue.exact(depth_lo)
-            pdim = FormulaValue.exact(nv - depth_lo)
-        else:
-            depth = FormulaValue.at_least(depth_lo)
-            pdim = FormulaValue.at_least(0)
-        sdepth = FormulaValue.at_least(sum(p.sdepth.lo for p in parts))
+        depth = sum(p.depth.value for p in parts)
         return FormulaReport(
-            depth=depth,
-            sdepth=sdepth,
-            pdim=pdim,
+            depth=FormulaValue.exact(depth),
+            sdepth=FormulaValue.at_least(sum(p.sdepth.lo for p in parts)),
+            pdim=FormulaValue.exact(nv - depth),
             source=f"disjoint union of {len(parts)} parts: depth additive, "
             "sdepth superadditive",
             ambient_vars=nv,

@@ -107,14 +107,13 @@ class BettiTable:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """depth/pdim/reg of one quotient ring, with computation provenance."""
+    """depth/pdim/reg of one quotient ring, with the field they were computed over."""
 
     depth: int
     pdim: int
     reg: int
     ambient_vars: int
     field: FieldSpec
-    method: str
 
     def __post_init__(self) -> None:
         if self.depth + self.pdim != self.ambient_vars:
@@ -507,7 +506,6 @@ def oracle_invariants(g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
         reg=table.reg,
         ambient_vars=g.num_vertices,
         field=field,
-        method="hochster",
     )
 
 

@@ -22,65 +22,54 @@ class DegreeCapError(ValueError):
     """Requested standard-monomial degree exceeds the configured cap."""
 
 
-@dataclass(frozen=True, order=True)
-class SquarefreeMonomial:
-    """A squarefree monomial, stored as the bitmask of its support."""
-
-    support: int
-
-    def __post_init__(self) -> None:
-        if self.support < 0:
-            raise ValueError("support mask must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return self.support.bit_count()
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Squarefree monomial ideal with a minimal generating set.
 
-    ambient_vars is carried explicitly so quotients over different subrings
-    can never be silently conflated.
+    Each generator is the bitmask of its support.  ambient_vars is carried
+    explicitly so quotients over different subrings can never be silently
+    conflated.
     """
 
     ambient_vars: int
-    generators: tuple[SquarefreeMonomial, ...]
+    generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
         full = (1 << self.ambient_vars) - 1
         seen = set()
         for gen in self.generators:
-            if gen.support == 0:
+            if gen == 0:
                 raise ValueError("generators must have nonempty support")
-            if gen.support & ~full:
+            if gen & ~full:
                 raise ValueError("generator support exceeds ambient variables")
-            if gen.support in seen:
+            if gen in seen:
                 raise ValueError("duplicate generator")
-            seen.add(gen.support)
+            seen.add(gen)
         for g1 in seen:
             for g2 in seen:
                 if g1 != g2 and g1 & ~g2 == 0:
                     raise ValueError("generating set is not minimal")
-        ordered = tuple(sorted(self.generators, key=lambda m: (m.degree, m.support)))
+        ordered = tuple(sorted(self.generators, key=lambda m: (m.bit_count(), m)))
         object.__setattr__(self, "generators", ordered)
 
     @classmethod
     def create(cls, ambient_vars: int, supports: Iterable[int]) -> "MonomialIdeal":
         """Build from arbitrary supports, discarding non-minimal generators."""
-        return cls(ambient_vars, tuple(map(SquarefreeMonomial, _minimalize(supports))))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    def generator_supports(self) -> tuple[int, ...]:
-        return tuple(g.support for g in self.generators)
+        supports = list(supports)
+        _check_in_ring(ambient_vars, supports)
+        return cls(ambient_vars, tuple(_minimalize(supports)))
 
     def contains_support(self, support: int) -> bool:
         """Membership of the squarefree monomial with the given support."""
-        return any(g.support & ~support == 0 for g in self.generators)
+        return any(g & ~support == 0 for g in self.generators)
+
+
+def _check_in_ring(ambient_vars: int, supports: Iterable[int]) -> None:
+    # s & ~full is nonzero for negative s as well
+    full = (1 << ambient_vars) - 1
+    for s in supports:
+        if s & ~full:
+            raise ValueError(f"support {s} lies outside {ambient_vars} variables")
 
 
 def _minimalize(supports: Iterable[int]) -> list[int]:
@@ -99,65 +88,38 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
     )
 
 
-def colon_by_monomial(ideal: MonomialIdeal, u: SquarefreeMonomial) -> MonomialIdeal:
-    """(I : u) for a squarefree monomial u not in I."""
-    if ideal.contains_support(u.support):
+def colon_by_monomial(ideal: MonomialIdeal, u: int) -> MonomialIdeal:
+    """(I : u) for the squarefree monomial with support u, not in I."""
+    _check_in_ring(ideal.ambient_vars, [u])
+    if ideal.contains_support(u):
         raise ValueError("colon by a monomial inside the ideal is the unit ideal")
-    return MonomialIdeal.create(
-        ideal.ambient_vars, (g.support & ~u.support for g in ideal.generators)
-    )
+    return MonomialIdeal.create(ideal.ambient_vars, (g & ~u for g in ideal.generators))
 
 
-def add_monomials(
-    ideal: MonomialIdeal, monomials: Iterable[SquarefreeMonomial]
-) -> MonomialIdeal:
-    """(I, m1, m2, ...), reminimalized."""
-    sups = list(ideal.generator_supports()) + [m.support for m in monomials]
-    return MonomialIdeal.create(ideal.ambient_vars, sups)
-
-
-def extend_ring(ideal: MonomialIdeal, extra_vars: int = 1) -> MonomialIdeal:
-    """Same generators viewed in a ring with extra free variables appended."""
-    if extra_vars < 0:
-        raise ValueError("extra_vars must be nonnegative")
-    return MonomialIdeal(ideal.ambient_vars + extra_vars, ideal.generators)
+def add_monomials(ideal: MonomialIdeal, supports: Iterable[int]) -> MonomialIdeal:
+    """(I, m1, m2, ...) for the given supports, reminimalized."""
+    return MonomialIdeal.create(ideal.ambient_vars, [*ideal.generators, *supports])
 
 
 # ---------------------------------------------------------------------------
-# Standard monomial counting (two independent routes)
+# Standard monomial counting
 # ---------------------------------------------------------------------------
 
 
 def standard_monomial_count(
-    ideal: MonomialIdeal,
-    degree: int,
-    method: str = "inclusion-exclusion",
-    cap: int = DEFAULT_DEGREE_CAP,
+    ideal: MonomialIdeal, degree: int, cap: int = DEFAULT_DEGREE_CAP
 ) -> int:
     """Number of degree-d monomials of the ambient ring not lying in the ideal.
 
-    method='inclusion-exclusion' sums signed multiple-counts over lcms of
-    generator subsets; method='enumeration' walks every degree-d monomial.
-    The two must agree; tests cross-check them.
+    Sums signed multiple-counts over lcms of generator subsets
+    (inclusion-exclusion).
     """
     if degree < 0:
         return 0
     if degree > cap:
         raise DegreeCapError(f"degree {degree} exceeds cap {cap}")
-    if method == "inclusion-exclusion":
-        return _count_inclusion_exclusion(ideal, degree)
-    if method == "enumeration":
-        return _count_enumeration(ideal, degree)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _monomials_of_degree(q: int, d: int) -> int:
-    return comb(d + q - 1, q - 1) if q > 0 else (1 if d == 0 else 0)
-
-
-def _count_inclusion_exclusion(ideal: MonomialIdeal, degree: int) -> int:
     q = ideal.ambient_vars
-    gens = ideal.generator_supports()
+    gens = ideal.generators
     total = _monomials_of_degree(q, degree)
 
     # DFS over generator subsets; the lcm of a squarefree set is the support
@@ -178,18 +140,8 @@ def _count_inclusion_exclusion(ideal: MonomialIdeal, degree: int) -> int:
     return total - in_ideal
 
 
-def _count_enumeration(ideal: MonomialIdeal, degree: int) -> int:
-    q = ideal.ambient_vars
-    if q == 0:
-        return 1 if degree == 0 else 0
-    count = 0
-    for combo in combinations_with_replacement(range(q), degree):
-        support = 0
-        for v in combo:
-            support |= 1 << v
-        if not ideal.contains_support(support):
-            count += 1
-    return count
+def _monomials_of_degree(q: int, d: int) -> int:
+    return comb(d + q - 1, q - 1) if q > 0 else (1 if d == 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +204,7 @@ def colon_decomposition(
         keep = list(bits(ring))
         pos = {v: i for i, v in enumerate(keep)}
         gens = []
-        for gen in ideal.generator_supports():
+        for gen in ideal.generators:
             if gen & ~ring == 0:
                 reindexed = 0
                 for v in bits(gen):
@@ -299,7 +251,11 @@ def verify_colon_decomposition(
             if ideal.contains_support(support | pivot_bit) and not ideal.contains_support(support):
                 lhs += 1
         rhs = sum(
-            standard_monomial_count(extend_ring(s.ideal), d - 1, cap=cap)
+            standard_monomial_count(
+                MonomialIdeal(s.ideal.ambient_vars + 1, s.ideal.generators),
+                d - 1,
+                cap=cap,
+            )
             for s in summands
         )
         if lhs != rhs:

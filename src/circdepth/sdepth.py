@@ -122,7 +122,6 @@ class SdepthResult:
     value: int
     is_exact: bool
     witness: IntervalPartition | None
-    status: str  # "exact" or "budget-exhausted"
 
 
 def char_poset(ideal: MonomialIdeal) -> CharPoset:
@@ -140,7 +139,7 @@ def char_poset(ideal: MonomialIdeal) -> CharPoset:
         )
     # rests[v]: each generator with highest variable v, minus v
     rests: list[list[int]] = [[] for _ in range(q)]
-    for g in ideal.generator_supports():  # nonempty, inside the q variables
+    for g in ideal.generators:  # nonempty, inside the q variables
         top = g.bit_length() - 1
         rests[top].append(g ^ (1 << top))
     elements = [0]
@@ -306,7 +305,7 @@ def sdepth_exact(
     larger k can succeed) and stops at the first k that admits no
     partition; the answer is monotone in k, so the last success is exact.
     When ``time_budget`` runs out, the result is the highest k certified so
-    far with its witness, marked "budget-exhausted" (no witness when even
+    far with its witness and is_exact false (no witness when even
     the floor was not certified in time).
     """
     poset = char_poset(ideal)
@@ -319,7 +318,7 @@ def sdepth_exact(
         try:
             base = find_partition(poset, floor, deadline)
         except _Budget:
-            return SdepthResult(floor, False, None, "budget-exhausted")
+            return SdepthResult(floor, False, None)
         if base is None:
             raise ValueError(
                 f"claimed lower bound {floor} admits no interval partition"
@@ -330,11 +329,11 @@ def sdepth_exact(
         try:
             part = find_partition(poset, k, deadline)
         except _Budget:
-            return SdepthResult(value, False, witness, "budget-exhausted")
+            return SdepthResult(value, False, witness)
         if part is None:
             break
         value, witness = k, part
-    return SdepthResult(value, True, witness, "exact")
+    return SdepthResult(value, True, witness)
 
 
 def sdepth_zero_check(ideal: MonomialIdeal) -> bool:

@@ -507,23 +507,19 @@ def test_verdict_logic():
     exact = _report(
         FormulaValue.exact(2), FormulaValue.exact(3), FormulaValue.exact(2), 5
     )
-    good = InvariantReport(
-        depth=2, pdim=3, reg=1, ambient_vars=5, field=GF32003, method="hochster"
-    )
-    off = InvariantReport(
-        depth=3, pdim=2, reg=1, ambient_vars=5, field=GF32003, method="hochster"
-    )
+    good = InvariantReport(depth=2, pdim=3, reg=1, ambient_vars=5, field=GF32003)
+    off = InvariantReport(depth=3, pdim=2, reg=1, ambient_vars=5, field=GF32003)
     assert _verdict(exact, good, None) == "match"
     assert _verdict(exact, off, None) == "MISMATCH"
 
     bounded = _report(
         FormulaValue.exact(2), FormulaValue.exact(3), FormulaValue.bounds(2, 3), 5
     )
-    inside = SdepthResult(value=3, is_exact=True, witness=None, status="exact")
-    outside = SdepthResult(value=4, is_exact=True, witness=None, status="exact")
+    inside = SdepthResult(value=3, is_exact=True, witness=None)
+    outside = SdepthResult(value=4, is_exact=True, witness=None)
     assert _verdict(bounded, good, inside) == "bounds-consistent"
     assert _verdict(bounded, good, outside) == "MISMATCH"
 
     # exact solver value below oracle depth violates the Stanley inequality
-    low = SdepthResult(value=1, is_exact=True, witness=None, status="exact")
+    low = SdepthResult(value=1, is_exact=True, witness=None)
     assert _verdict(None, good, low) == "MISMATCH"

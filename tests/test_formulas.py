@@ -1,6 +1,7 @@
 """Closed-form invariants: branch selection, bounds shapes and internal consistency."""
 
 import pytest
+from hypothesis import given, settings
 
 from circdepth.formulas import (
     FormulaUnavailable,
@@ -21,6 +22,8 @@ from circdepth.graphs import (
     UnionSpec,
     parse_graph_spec,
 )
+
+from test_graphs import _specs
 
 
 def test_formula_value_shapes():
@@ -143,6 +146,17 @@ def test_union_composition():
     assert rep.pdim.value == 9 - 4
     assert rep.sdepth.kind == "lower-bound"
     assert rep.sdepth.lo == 4
+
+
+@given(_specs)
+@settings(max_examples=200)
+def test_closed_forms_give_exact_depth_and_pdim(spec):
+    try:
+        rep = formula_for_spec(spec)
+    except FormulaUnavailable:
+        return
+    assert rep.depth.is_exact and rep.pdim.is_exact
+    assert rep.depth.value + rep.pdim.value == spec.num_vertices
 
 
 def test_out_of_range_rejected():

@@ -206,7 +206,7 @@ def test_oracle_zero_ideal():
 
 def test_invariant_report_enforces_auslander_buchsbaum():
     with pytest.raises(ValueError):
-        InvariantReport(depth=1, pdim=1, reg=0, ambient_vars=3, field=GF2, method="x")
+        InvariantReport(depth=1, pdim=1, reg=0, ambient_vars=3, field=GF2)
 
 
 def test_size_cap():
