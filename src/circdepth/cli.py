@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from typing import Callable, Collection
 
@@ -448,7 +448,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
             {
                 "max_n": max_n,
                 "slow": slow,
-                "rows": [asdict(r) for r in rows],
+                "rows": [dict(zip(CSV_COLUMNS, _row_values(r))) for r in rows],
                 "mismatches": mismatches,
                 "errors": errors,
             },
@@ -478,8 +478,13 @@ def _rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(astuple(r) for r in rows)
+    writer.writerows(_row_values(r) for r in rows)
     return buf.getvalue()
+
+
+def _row_values(row: VerificationRow) -> list[str]:
+    """The row's cells in CSV_COLUMNS order, read directly: no deep copy."""
+    return [getattr(row, name) for name in CSV_COLUMNS]
 
 
 # ---------------------------------------------------------------------------

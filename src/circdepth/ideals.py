@@ -3,13 +3,15 @@
 Monomial supports are bitmasks over variable indices.  The one nontrivial
 operation here is the colon decomposition of (I(G) : pivot)/I(G) into free
 summands over smaller rings, together with a degree-by-degree dimension
-verifier that counts standard monomials on both sides independently.
+verifier that counts both sides independently.  Its left side reads only
+the ideal: it walks the standard supports S and weights each with the
+C(d-1, |S|-1) monomials of degree d whose support is S.  Its right side
+sums standard-monomial counts of the summands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Sequence
 
@@ -221,6 +223,33 @@ def colon_decomposition(
     return summands
 
 
+def _colon_quotient_counts(ideal: MonomialIdeal, pivot: int, dmax: int) -> list[int]:
+    """Monomials of each degree 0..dmax lying in (I : pivot) but not in I.
+
+    Both conditions depend only on the monomial's support S, and there are
+    C(d-1, |S|-1) monomials of degree d >= 1 with support exactly S (the
+    empty support has degree 0 only).  So the supports outside I of size at
+    most dmax are walked once, each grown by variables above its highest
+    one; I is closed upward, so a pruned branch holds no standard support.
+    """
+    pivot_bit = 1 << pivot
+    colon = [0] * (dmax + 1)  # colon[s]: standard supports of size s in (I : pivot)
+    supports = [0]
+    for m in supports:  # grows while it is walked
+        size = m.bit_count()
+        if ideal.contains_support(m | pivot_bit):
+            colon[size] += 1
+        if size < dmax:
+            for v in range(m.bit_length(), ideal.ambient_vars):
+                grown = m | 1 << v
+                if not ideal.contains_support(grown):
+                    supports.append(grown)
+    return [colon[0]] + [
+        sum(comb(d - 1, s - 1) * colon[s] for s in range(1, d + 1))
+        for d in range(1, dmax + 1)
+    ]
+
+
 def verify_colon_decomposition(
     g: Graph,
     pivot: int,
@@ -231,33 +260,21 @@ def verify_colon_decomposition(
     """Check the colon decomposition degree by degree up to dmax.
 
     The left side counts monomials of each degree d lying in (I : pivot) but
-    not in I by direct enumeration; the right side sums, over summands, the
+    not in I.  It reads only I, not the summands: it walks the standard
+    supports S of I and weights each with the C(d-1, |S|-1) monomials of
+    degree d whose support is S.  The right side sums, over summands, the
     degree d-1 standard monomials of J_t with the adjoined variable free.
     Degree d-1 because each summand sits inside the quotient shifted by one
     (its elements are multiples of the adjoined variable).
     """
     if dmax > cap:
         raise DegreeCapError(f"dmax {dmax} exceeds cap {cap}")
-    ideal = edge_ideal(g)
-    summands = colon_decomposition(g, pivot, order=order)
-    q = g.num_vertices
-    pivot_bit = 1 << pivot
-    for d in range(dmax + 1):
-        lhs = 0
-        for combo in combinations_with_replacement(range(q), d):
-            support = 0
-            for v in combo:
-                support |= 1 << v
-            if ideal.contains_support(support | pivot_bit) and not ideal.contains_support(support):
-                lhs += 1
-        rhs = sum(
-            standard_monomial_count(
-                MonomialIdeal(s.ideal.ambient_vars + 1, s.ideal.generators),
-                d - 1,
-                cap=cap,
-            )
-            for s in summands
-        )
-        if lhs != rhs:
-            return False
-    return True
+    with_adjoined = [
+        MonomialIdeal(s.ideal.ambient_vars + 1, s.ideal.generators)
+        for s in colon_decomposition(g, pivot, order=order)
+    ]
+    lhs = _colon_quotient_counts(edge_ideal(g), pivot, dmax)
+    return all(
+        lhs[d] == sum(standard_monomial_count(j, d - 1, cap=cap) for j in with_adjoined)
+        for d in range(dmax + 1)
+    )

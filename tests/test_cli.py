@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from circdepth import cli, graphs, homology
+from circdepth import cli, graphs, homology, ideals
 from circdepth.cli import CSV_COLUMNS, _verdict, main
 from circdepth.formulas import FormulaReport, FormulaValue
 from circdepth.homology import GF2, GF32003, InvariantReport
@@ -223,6 +223,24 @@ def test_verify_paper_crashed_row_is_error(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "2")
     assert code == 1
     assert out.splitlines()[-1].endswith(", mismatches: 0, errors: 2")
+
+
+def test_verify_paper_colon_mismatch(capsys, monkeypatch):
+    real = ideals.colon_decomposition
+    monkeypatch.setattr(
+        ideals, "colon_decomposition", lambda g, pivot, order=None: real(g, pivot, order)[:-1]
+    )
+    code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "3", "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    verdict = CSV_COLUMNS.index("verdict")
+    mismatched = [(r[0], r[1]) for r in rows if r[verdict] == "MISMATCH"]
+    assert mismatched == [
+        ("colon-ladderA", "n=3,pivot=y3"),
+        ("colon-cubic1n", "n=3,pivot=y1"),
+        ("colon-cubic2n", "n=3,pivot=y3"),
+    ]
+    assert "ERROR" not in {r[verdict] for r in rows}
 
 
 def test_verify_paper_tier_limits(capsys):

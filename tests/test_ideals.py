@@ -1,13 +1,15 @@
 """Edge ideals, colon/sum arithmetic, standard-monomial counts and the
 colon-quotient decomposition with its dimension verifier."""
 
+import dataclasses
 import random
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circdepth import ideals as ideals_module
 from circdepth.graphs import (
     CompleteSpec,
     CubicCirculantSpec,
@@ -23,8 +25,10 @@ from circdepth.graphs import (
     prism,
 )
 from circdepth.ideals import (
+    ColonSummand,
     DegreeCapError,
     MonomialIdeal,
+    _colon_quotient_counts,
     add_monomials,
     colon_by_monomial,
     colon_decomposition,
@@ -120,6 +124,19 @@ def _count_reference(ideal, degree):
     return count
 
 
+def _colon_count_reference(ideal, pivot, degree):
+    """Monomials of one degree in (I : pivot) but not in I, by walking every
+    monomial of that degree."""
+    count = 0
+    for combo in combinations_with_replacement(range(ideal.ambient_vars), degree):
+        support = 0
+        for v in combo:
+            support |= 1 << v
+        if ideal.contains_support(support | 1 << pivot) and not ideal.contains_support(support):
+            count += 1
+    return count
+
+
 def test_standard_count_examples():
     assert standard_monomial_count(MonomialIdeal.create(3, []), 2) == 6
     assert standard_monomial_count(MonomialIdeal.create(2, [0b11]), 2) == 2
@@ -138,6 +155,16 @@ def test_standard_count_cap():
 @settings(max_examples=80, deadline=None)
 def test_count_routes_agree(i, d):
     assert standard_monomial_count(i, d) == _count_reference(i, d)
+
+
+@given(ideals, st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
+@example(MonomialIdeal.create(2, [0b01]), 0, 2)  # the pivot is a generator: 1 counts
+@settings(max_examples=80, deadline=None)
+def test_colon_counts_match_monomial_walk(i, pivot, dmax):
+    pivot %= i.ambient_vars
+    assert _colon_quotient_counts(i, pivot, dmax) == [
+        _colon_count_reference(i, pivot, d) for d in range(dmax + 1)
+    ]
 
 
 def test_colon_decomposition_a3_reference_order():
@@ -294,3 +321,43 @@ def test_verify_every_pivot_on_small_corpus():
     for g in corpus:
         for pivot in range(g.num_vertices):
             assert verify_colon_decomposition(g, pivot, 4)
+
+
+def _drop_last_summand(g, pivot, order=None):
+    return colon_decomposition(g, pivot, order)[:-1]
+
+
+def _forget_earlier_neighbors(g, pivot, order=None):
+    # each summand's ring keeps the earlier neighbors, so a monomial divisible
+    # by two neighbors is counted in two summands
+    full = (1 << g.num_vertices) - 1
+    summands = []
+    for s in colon_decomposition(g, pivot, order):
+        t = s.adjoined_var
+        ring = full & ~g.adjacency[t] & ~(1 << t)
+        summands.append(ColonSummand(ring, edge_ideal(induced_subgraph(g, ring)), t))
+    return summands
+
+
+def _swap_first_two_adjoined(g, pivot, order=None):
+    first, second, *rest = colon_decomposition(g, pivot, order)
+    return [
+        dataclasses.replace(first, adjoined_var=second.adjoined_var),
+        dataclasses.replace(second, adjoined_var=first.adjoined_var),
+        *rest,
+    ]
+
+
+@pytest.mark.parametrize("build", [moebius_ladder, prism], ids=["moebius", "prism"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_verify_rejects_broken_decompositions(monkeypatch, build, n):
+    g = build(n)
+    pivot = g.index_of("y1")
+    for broken in (_drop_last_summand, _forget_earlier_neighbors):
+        monkeypatch.setattr(ideals_module, "colon_decomposition", broken)
+        assert not verify_colon_decomposition(g, pivot, 4), broken.__name__
+    # the dimension count never reads the adjoined variables; a swap puts a
+    # neighbor inside the other summand's ring, which ColonSummand refuses
+    monkeypatch.setattr(ideals_module, "colon_decomposition", _swap_first_two_adjoined)
+    with pytest.raises(ValueError, match="adjoined variable"):
+        verify_colon_decomposition(g, pivot, 4)
