@@ -80,7 +80,6 @@ from .sdepth import (
     counting_bound,
     find_partition,
     sdepth_exact,
-    sdepth_zero_check,
     validate_partition,
 )
 

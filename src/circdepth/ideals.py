@@ -47,11 +47,15 @@ class MonomialIdeal:
             if gen in seen:
                 raise ValueError("duplicate generator")
             seen.add(gen)
-        for g1 in seen:
-            for g2 in seen:
-                if g1 != g2 and g1 & ~g2 == 0:
-                    raise ValueError("generating set is not minimal")
+        # distinct supports of one size never contain each other, so each
+        # generator is checked only against the strictly smaller ones
         ordered = tuple(sorted(self.generators, key=lambda m: (m.bit_count(), m)))
+        smaller = 0  # ordered[:smaller] are smaller than the current size
+        for i, gen in enumerate(ordered):
+            if ordered[smaller].bit_count() < gen.bit_count():
+                smaller = i
+            if any(g & ~gen == 0 for g in ordered[:smaller]):
+                raise ValueError("generating set is not minimal")
         object.__setattr__(self, "generators", ordered)
 
     @classmethod
@@ -85,8 +89,8 @@ def _minimalize(supports: Iterable[int]) -> list[int]:
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
     """One degree-2 generator per edge of the graph."""
-    return MonomialIdeal.create(
-        g.num_vertices, ((1 << u) | (1 << v) for u, v in g.edges())
+    return MonomialIdeal(
+        g.num_vertices, tuple((1 << u) | (1 << v) for u, v in g.edges())
     )
 
 

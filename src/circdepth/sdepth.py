@@ -13,9 +13,11 @@ or at Herzog's counting bound, so a budget timeout still leaves the best
 k certified so far, with its witness.
 
 The cover state is one bitset over poset element indices (elements sort by
-rank, then mask), and each interval's cell set is a bitmask computed once
-per poset and shared by every k of one ``sdepth_exact`` call, so testing
-whether an interval still fits is a single AND.  The counting bound (Herzog,
+rank, then mask).  For each k the solver builds, for every element of rank
+<= k, the bitsets of its subsets and of its supersets within that prefix, in
+one pass each along lower covers; an interval's cell set is then the AND of
+its top's subsets and its bottom's supersets, and testing whether an
+interval still fits is a single AND.  The counting bound (Herzog,
 "A survey on Stanley depth", 2013): with alpha_i standard monomials of
 degree i, sdepth >= k forces
 ``sum_{i<=j} (-1)^(j-i) C(k-i, j-i) alpha_i >= 0`` for every j <= k, since
@@ -31,6 +33,7 @@ from functools import cached_property
 from math import comb
 from typing import Sequence
 
+from .graphs import bits
 from .ideals import MonomialIdeal
 
 POSET_VAR_CAP = 14
@@ -71,15 +74,6 @@ class CharPoset:
             blocks.append(((1 << count) - 1) << start)
             start += count
         return tuple(blocks)
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.elements)}
-
-    @cached_property
-    def _interval_masks(self) -> dict[int, int]:
-        """Memo: ``upper << num_vars | lower`` -> bitset of the interval's cells."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -130,22 +124,30 @@ def char_poset(ideal: MonomialIdeal) -> CharPoset:
     Each element grows by variables above its highest one, so every subset
     is reached once, from itself minus its top variable.  Adding variable v
     can only complete a generator whose highest variable is v, so only those
-    are tested.
+    are tested: the degree-2 ones with one AND against ``below[v]``, the
+    rest one by one.
     """
     q = ideal.ambient_vars
     if q > POSET_VAR_CAP:
         raise PosetSizeError(
             f"{q} variables exceeds the poset cap of {POSET_VAR_CAP}"
         )
-    # rests[v]: each generator with highest variable v, minus v
+    # below[v]: the other variable of each degree-2 generator with highest
+    # variable v; rests[v]: every other such generator, minus v (0 for the
+    # degree-1 generator v itself, which every m completes)
+    below = [0] * q
     rests: list[list[int]] = [[] for _ in range(q)]
     for g in ideal.generators:  # nonempty, inside the q variables
         top = g.bit_length() - 1
-        rests[top].append(g ^ (1 << top))
+        rest = g ^ (1 << top)
+        if rest.bit_count() == 1:
+            below[top] |= rest
+        else:
+            rests[top].append(rest)
     elements = [0]
     for m in elements:  # grows while it is walked
         for v in range(m.bit_length(), q):
-            if not any(r & m == r for r in rests[v]):
+            if not m & below[v] and not any(r & m == r for r in rests[v]):
                 elements.append(m | 1 << v)
     elements.sort(key=lambda m: (m.bit_count(), m))
     return CharPoset(q, tuple(elements))
@@ -192,6 +194,47 @@ def counting_bound(poset: CharPoset) -> int:
     return 0
 
 
+def _prefix_bitsets(poset: CharPoset, k: int) -> tuple[list[int], list[int]]:
+    """Subset and superset bitsets of the elements of rank <= k.
+
+    Those elements are a prefix of ``poset.elements``.  One forward pass
+    over lower covers gives down[i], the indices of the subsets of element
+    i; one backward pass along the same covers gives up[i], the indices of
+    its supersets within the prefix.  Elements above rank k are never
+    touched.
+    """
+    size = sum(poset.rank_counts[: k + 1])
+    prefix = poset.elements[:size]
+    index = {m: i for i, m in enumerate(prefix)}
+    covers: list[list[int]] = []  # indices of each element's lower covers
+    down: list[int] = []
+    for i, m in enumerate(prefix):
+        below, cells, rest = [], 1 << i, m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = index[m ^ low]
+            below.append(j)
+            cells |= down[j]
+        covers.append(below)
+        down.append(cells)
+    up = [1 << i for i in range(size)]
+    for i in range(size - 1, -1, -1):
+        above = up[i]
+        for j in covers[i]:
+            up[j] |= above
+    return down, up
+
+
+def _interval_options(down: list[int], above: int, tops: int) -> list[int]:
+    """Cell bitsets of the intervals [A, B] with B in ``tops``, B in poset order.
+
+    ``above`` is up[A] from ``_prefix_bitsets``; the cells of [A, B] are
+    exactly down[B] & up[A].
+    """
+    return [down[t] & above for t in bits(above & tops)]
+
+
 def find_partition(
     poset: CharPoset, k: int, deadline: float | None = None
 ) -> IntervalPartition | None:
@@ -210,25 +253,20 @@ def find_partition(
     with the fewest still-available tops (fail first, forced moves committed
     immediately; ties go to the smaller mask).  Candidate tops are tried in
     poset order (rank, then mask) for determinism.  A top is available when
-    its interval's cell bitmask, memoised on the poset, lies inside the
-    uncovered set.  The search keeps its own stack instead of recursing, so
-    it leaves no reference cycle behind for the garbage collector.
+    its interval's cell bitset, the AND of the top's subset bitset and the
+    bottom's superset bitset built for this k, lies inside the uncovered
+    set.  The search keeps its own stack instead of recursing, so it leaves
+    no reference cycle behind for the garbage collector.
     """
     elements = poset.elements
     if k > poset.max_rank:
         return None
-    size = sum(poset.rank_counts[: k + 1])  # elements of rank <= k
-    tops = elements[size - poset.rank_counts[k]:size]
-    supersets: list[list[int]] = []
-    for a in elements[:size]:
-        sup = [b for b in tops if b & a == a]
-        if not sup:
-            return None  # this element lies under no element of rank k
-        supersets.append(sup)
-    index = poset._index
-    masks = poset._interval_masks
-    blocks = poset._rank_blocks[: k + 1]
-    shift = poset.num_vars
+    down, up = _prefix_bitsets(poset, k)
+    blocks = poset._rank_blocks
+    tops = blocks[k]
+    if not all(above & tops for above in up):
+        return None  # some element lies under no element of rank k
+    size = len(up)
     # fits[i]: cell bitsets of the intervals over element i, filled on demand;
     # an interval's top is its highest-index cell
     fits: list[list[int] | None] = [None] * size
@@ -245,7 +283,8 @@ def find_partition(
                 Interval(bottom, elements[options[pos].bit_length() - 1])
                 for bottom, options, pos in stack
             ) + tuple(Interval(m, m) for m in elements[size:]))
-        candidates = next(c for c in (uncovered & b for b in blocks) if c)
+        lowest = elements[(uncovered & -uncovered).bit_length() - 1]
+        candidates = uncovered & blocks[lowest.bit_count()]
         best: tuple[int, list[int]] | None = None
         while candidates:
             low = candidates & -candidates
@@ -253,17 +292,7 @@ def find_partition(
             i = low.bit_length() - 1
             cand = fits[i]
             if cand is None:
-                cand = fits[i] = []
-                bottom = elements[i]
-                for top in supersets[i]:
-                    key = top << shift | bottom
-                    cells = masks.get(key)
-                    if cells is None:
-                        cells = 0
-                        for c in _interval_cells(bottom, top):
-                            cells |= 1 << index[c]
-                        masks[key] = cells
-                    cand.append(cells)
+                cand = fits[i] = _interval_options(down, up[i], tops)
             options = [c for c in cand if c & uncovered == c]
             if not options:
                 best = None
@@ -334,21 +363,3 @@ def sdepth_exact(
             break
         value, witness = k, part
     return SdepthResult(value, True, witness)
-
-
-def sdepth_zero_check(ideal: MonomialIdeal) -> bool:
-    """Solver result 0 cross-asserted against depth 0 of the quotient.
-
-    For a proper squarefree ideal, depth(S/I) = 0 forces I to be the whole
-    maximal ideal (a reduced quotient has no embedded primes), i.e. the poset
-    collapses to the empty set alone; the converse direction is the zero
-    Stanley depth criterion for cyclic modules.
-    """
-    poset = char_poset(ideal)
-    depth_zero = len(poset.elements) == 1
-    solver_zero = sdepth_exact(ideal).value == 0
-    if solver_zero != depth_zero:
-        raise RuntimeError(
-            "zero Stanley depth and zero depth disagreed; solver or poset is wrong"
-        )
-    return solver_zero

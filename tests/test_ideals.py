@@ -113,6 +113,36 @@ def test_sum_stays_minimal(i, extra):
             assert g1 == g2 or g1 & ~g2 != 0
 
 
+def _is_minimal_reference(gens):
+    """The pairwise rule: no generator's support contains another one's."""
+    return not any(g1 != g2 and g1 & ~g2 == 0 for g1 in gens for g2 in gens)
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=8))))
+@settings(max_examples=200)
+def test_minimality_check_matches_pairwise_rule(case):
+    n, gens = case
+    if _is_minimal_reference(gens):
+        assert sorted(MonomialIdeal(n, tuple(gens)).generators) == sorted(gens)
+    else:
+        with pytest.raises(ValueError, match="not minimal"):
+            MonomialIdeal(n, tuple(gens))
+
+
+@given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))))
+@settings(max_examples=100)
+def test_edge_ideal_matches_minimalized_create(case):
+    n, keep = case
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = graph_from_edges([f"v{i+1}" for i in range(n)],
+                         [e for e, k in zip(pairs, keep) if k])
+    edges = [(1 << u) | (1 << v) for u, v in g.edges()]
+    assert edge_ideal(g) == MonomialIdeal.create(n, edges)
+
+
 def _count_reference(ideal, degree):
     """Standard monomials of one degree, by walking every monomial of it."""
     count = 0

@@ -35,7 +35,6 @@ from circdepth.sdepth import (
     counting_bound,
     find_partition,
     sdepth_exact,
-    sdepth_zero_check,
     validate_partition,
 )
 
@@ -168,12 +167,22 @@ def test_stanley_inequality_on_random_graphs():
 
 
 def test_zero_check_examples():
-    assert sdepth_zero_check(edge_ideal(build_graph(PathSpec(3)))) is False
-    assert sdepth_zero_check(edge_ideal(build_graph(CompleteSpec(4)))) is False
-    assert sdepth_zero_check(MonomialIdeal.create(3, [])) is False
-    # the maximal ideal is the one depth-zero squarefree quotient
-    maximal = MonomialIdeal.create(3, [0b001, 0b010, 0b100])
-    assert sdepth_zero_check(maximal) is True
+    """Stanley depth 0 exactly when the poset is the empty set alone.
+
+    For a proper squarefree ideal, depth(S/I) = 0 forces I to be the whole
+    maximal ideal, whose poset is {0}; the converse is the zero Stanley
+    depth criterion for cyclic modules.
+    """
+    ideals = [
+        edge_ideal(build_graph(PathSpec(3))),
+        edge_ideal(build_graph(CompleteSpec(4))),
+        MonomialIdeal.create(3, []),
+        # the maximal ideal is the one depth-zero squarefree quotient
+        MonomialIdeal.create(3, [0b001, 0b010, 0b100]),
+    ]
+    zero = [sdepth_exact(ideal).value == 0 for ideal in ideals]
+    assert zero == [char_poset(ideal).elements == (0,) for ideal in ideals]
+    assert zero == [False, False, False, True]
 
 
 def test_witness_json_export():
@@ -260,10 +269,10 @@ def test_solver_matches_brute_force_on_small_graphs():
 def _find_partition_reference(poset, k):
     """Reference decision search: a set-based kernel over the whole poset.
 
-    It tries every top of size >= k and re-enumerates every candidate
-    interval's cells at each node.  The solver only uses tops of size
-    exactly k on the poset truncated at rank k, so the two agree on whether
-    a partition exists but may return different witnesses.
+    It tries every top of size >= k and tests every candidate interval's
+    cell set against the uncovered set at each node.  The solver only uses
+    tops of size exactly k on the poset truncated at rank k, so the two
+    agree on whether a partition exists but may return different witnesses.
     """
     elements = poset.elements
     big = [e for e in elements if e.bit_count() >= k]
@@ -275,14 +284,15 @@ def _find_partition_reference(poset, k):
         supersets[a] = sup
     uncovered = set(elements)
     chosen = []
+    intervals = {}  # bottom -> [(top, cells)], listed once per bottom
 
     def viable(bottom):
-        out = []
-        for top in supersets[bottom]:
-            cells = _cells(bottom, top)
-            if all(c in uncovered for c in cells):
-                out.append((top, cells))
-        return out
+        ivs = intervals.get(bottom)
+        if ivs is None:
+            ivs = intervals[bottom] = [
+                (top, _cells(bottom, top)) for top in supersets[bottom]
+            ]
+        return [(top, cells) for top, cells in ivs if uncovered.issuperset(cells)]
 
     def extend():
         if not uncovered:
@@ -375,41 +385,99 @@ def test_counting_bound_examples(text, bound):
 
 
 def test_interval_cells_work_guard(monkeypatch):
-    """Interval cell sets are built once per poset, not once per search node."""
-    calls = 0
-    original = sdepth._interval_cells
+    """The search never lists interval cells; it reads them as bitsets."""
 
-    def counting(lower, upper):
-        nonlocal calls
-        calls += 1
-        return original(lower, upper)
+    def listing(lower, upper):
+        raise AssertionError(f"cells of [{lower}, {upper}] listed during the search")
 
-    monkeypatch.setattr(sdepth, "_interval_cells", counting)
+    monkeypatch.setattr(sdepth, "_interval_cells", listing)
     spec = parse_graph_spec("star:8")
     floor = formula_for_spec(spec).sdepth.lo
     assert sdepth_exact(edge_ideal(build_graph(spec)), floor=floor).is_exact
-    assert calls <= 3000
+
+
+def _record(monkeypatch, name):
+    """Patch the sdepth helper ``name`` to append each result it returns."""
+    results = []
+    original = getattr(sdepth, name)
+
+    def recording(*args):
+        out = original(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(sdepth, name, recording)
+    return results
 
 
 @pytest.mark.parametrize("text,ks", [("star:10", (1, 2)), ("cubic:5:2", (2, 3))])
 def test_find_partition_builds_only_rank_k_tops(monkeypatch, text, ks):
     """The decision for k only builds intervals whose top has size exactly k."""
-    tops = []
-    original = sdepth._interval_cells
-
-    def recording(lower, upper):
-        tops.append(upper.bit_count())
-        return original(lower, upper)
-
-    monkeypatch.setattr(sdepth, "_interval_cells", recording)
+    built = _record(monkeypatch, "_interval_options")
     poset = char_poset(edge_ideal(build_graph(parse_graph_spec(text))))
-    built = 0
+    built_tops = 0
     for k in ks:
-        tops.clear()
+        built.clear()
         find_partition(poset, k)
+        tops = [poset.elements[c.bit_length() - 1].bit_count()
+                for options in built for c in options]
         assert set(tops) <= {k}, (k, sorted(set(tops)))
-        built += len(tops)
-    assert built
+        built_tops += len(tops)
+    assert built_tops
+
+
+def test_find_partition_builds_only_the_rank_k_prefix(monkeypatch):
+    """A small k on a large poset builds bitsets for the rank <= k prefix only.
+
+    For k = 2 the center of the star lies under no element of rank 2, so
+    the decision fails before the search lists a single interval.
+    """
+    built = _record(monkeypatch, "_prefix_bitsets")
+    options = _record(monkeypatch, "_interval_options")
+    poset = char_poset(edge_ideal(build_graph(parse_graph_spec("star:13"))))
+    assert len(poset.elements) == 4097
+    assert find_partition(poset, 1) is not None
+    assert [(len(down), len(up)) for down, up in built] == [(14, 14)]
+    options.clear()
+    assert find_partition(poset, 2) is None
+    assert len(built[-1][1]) == 1 + 13 + 66 and options == []
+
+
+@given(_small_ideals)
+@settings(max_examples=150, deadline=None)
+def test_interval_options_match_interval_cells(ideal):
+    """Each option is the index set of the interval's cells, tops in poset order."""
+    poset = char_poset(ideal)
+    for k in range(poset.max_rank + 1):
+        prefix = poset.elements[: sum(poset.rank_counts[: k + 1])]
+        index = {m: i for i, m in enumerate(prefix)}
+        down, up = sdepth._prefix_bitsets(poset, k)
+        assert len(down) == len(up) == len(prefix)
+        tops = poset._rank_blocks[k]
+        rank_k = prefix[len(prefix) - poset.rank_counts[k]:]
+        assert all(top.bit_count() == k for top in rank_k)
+        for i, bottom in enumerate(prefix):
+            want = [
+                sum(1 << index[c] for c in sdepth._interval_cells(bottom, top))
+                for top in rank_k if top & bottom == bottom
+            ]
+            assert sdepth._interval_options(down, up[i], tops) == want, (k, bottom)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+    max_size=8))))
+@settings(max_examples=200, deadline=None)
+def test_char_poset_matches_brute_force_on_mixed_degrees(case):
+    """Generators of degree 1, 2 and 3; a degree-1 generator excludes its variable."""
+    n, supports = case
+    gens = [sum(1 << v for v in support) for support in supports]
+    ideal = MonomialIdeal.create(n, gens)
+    brute = sorted(
+        (m for m in range(1 << n) if not any(g & ~m == 0 for g in gens)),
+        key=lambda m: (m.bit_count(), m),
+    )
+    assert char_poset(ideal).elements == tuple(brute)
 
 
 _WITNESSES = json.loads(
