@@ -50,11 +50,9 @@ from .homology import (
     GF32003,
     RATIONALS,
     BettiTable,
-    CrossFieldReport,
     FieldSpec,
     InvariantReport,
     OracleSizeError,
-    cross_field_check,
     hochster_betti_table,
     oracle_invariants,
     reduced_homology_dims,

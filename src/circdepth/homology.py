@@ -23,11 +23,17 @@ Four reductions, all exact over every field:
     a forest never reaches connected sets or faces.  In the homology of one
     induced subgraph, a leaf replaces the subgraph by its suspended
     remainder in one step,
-  * the fold lemma (same paper): if N(u) is contained in N(w) for u != w,
-    then Ind(G) is homotopy equivalent to Ind(G - w), so a leafless
-    component with such a pair is replaced by the smaller graph, which
-    splits and folds again.  Only components with no leaf and no fold pair
-    reach face enumeration and rank computation.
+  * the fold lemma (same papers): if N(u) is contained in N(w) for u != w,
+    then Ind(H) is homotopy equivalent to Ind(H - w).  It is used twice
+    as well, on the pair that _fold_pair returns.  In the sum, a leafless
+    vertex set U with such a pair (u, w) gives every subset that holds both u
+    and w the homology of that subset minus w, so those subsets cost one
+    difference of sums over U - w and U - u - w, and U never reaches its
+    connected sets.  In the homology of one induced subgraph, a leafless
+    component with such a pair is replaced by itself minus w, which splits
+    and folds again.  Only vertex sets with no leaf and no fold pair reach
+    connected sets, and only components with neither reach face
+    enumeration and rank computation.
 """
 
 from __future__ import annotations
@@ -75,7 +81,6 @@ class FieldSpec:
 GF2 = FieldSpec(2)
 GF32003 = FieldSpec(32003)
 RATIONALS = FieldSpec(0)
-DEFAULT_FIELDS = (GF2, GF32003)
 
 
 @dataclass(frozen=True)
@@ -120,17 +125,6 @@ class InvariantReport:
             raise ValueError("depth + pdim must equal the number of variables")
 
 
-@dataclass(frozen=True)
-class CrossFieldReport:
-    """Comparison of Betti tables over two prime fields, with rational arbiter."""
-
-    fields: tuple[FieldSpec, FieldSpec]
-    tables: tuple[BettiTable, BettiTable]
-    equal: bool
-    differing: tuple[tuple[int, int, int, int], ...]  # (i, j, mult_1, mult_2)
-    arbiter: BettiTable | None
-
-
 # ---------------------------------------------------------------------------
 # Exact rank computation
 # ---------------------------------------------------------------------------
@@ -173,7 +167,10 @@ def _rank_mod_p(columns: SparseColumns, p: int) -> int:
             piv = max(cur)
             other = pivots.get(piv)
             if other is None:
-                inv = pow(cur[piv], p - 2, p) if p else Fraction(1, cur[piv])
+                if p:
+                    inv = pow(cur[piv], p - 2, p)
+                else:  # an integer inverse keeps the column's entries integers
+                    inv = cur[piv] if cur[piv] in (1, -1) else Fraction(1, cur[piv])
                 pivots[piv] = {r: (c * inv) % p if p else c * inv for r, c in cur.items()}
                 rank += 1
                 break
@@ -320,11 +317,12 @@ def _join(a: Homology, b: Homology) -> Homology:
     return tuple(out.items())
 
 
-def _fold_vertex(adjacency: Sequence[int], mask: int) -> int | None:
-    """A vertex w of ``mask`` with N(u) <= N(w) in G[mask] for some other u, or None.
+def _fold_pair(adjacency: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """(u, w) in ``mask`` with u != w and N(u) <= N(w) in G[mask], or None.
 
     For each u the candidates are the common neighbours of N(u), which are
     exactly the w whose neighbourhood contains N(u); u itself is excluded.
+    Such u and w are never adjacent, since w is not in N(w).
     """
     for u in bits(mask):
         cand = mask & ~(1 << u)
@@ -333,7 +331,7 @@ def _fold_vertex(adjacency: Sequence[int], mask: int) -> int | None:
             if not cand:
                 break
         if cand:
-            return (cand & -cand).bit_length() - 1
+            return u, (cand & -cand).bit_length() - 1
     return None
 
 
@@ -373,7 +371,7 @@ def _add_product(
 
 
 class _HochsterSum:
-    """Hochster's sum for one graph and field by leaf splitting and component transfer.
+    """Hochster's sum for one graph and field by leaf splitting, folds and component transfer.
 
     Z(U) is the sum over subsets sigma of U of the homology of Ind(G[sigma]),
     kept as {(|sigma|, s): sum of dim H~_{s-1}}, with Z({}) = 1.  A term
@@ -387,7 +385,18 @@ class _HochsterSum:
 
             Z(U) = Z(U - v) + x^2 (1 + x)^t y Z(U - N[w]);
 
-      * no such v: the homology of Ind(G[sigma]) is the join over the
+      * no such v, but a fold pair (u, w) of G[U], so N(u) & U <= N(w) & U
+        and u, w are not adjacent: a sigma containing u and w keeps the pair,
+        so Ind(G[sigma]) is homotopy equivalent to Ind(G[sigma - w]) by the
+        fold lemma, and the subsets sigma - w are those of U - w that contain
+        u, which gives
+
+            Z(U) = Z(U - u) + (1 + x) (Z(U - w) - Z(U - u - w));
+
+        the difference has no negative coefficient, and its zero ones are
+        not stored;
+
+      * neither: the homology of Ind(G[sigma]) is the join over the
         components of G[sigma] and vanishes when one of them is a single
         vertex or acyclic, so splitting off the component C of the lowest
         vertex v of U gives
@@ -423,6 +432,14 @@ class _HochsterSum:
                     factor = [(2 + a, 1, comb(t, a)) for a in range(t + 1)]
                     rest = within & ~(adjacency[w] | nbr)
                     _add_product(z, factor, self.subset_sum(rest))
+            elif (pair := _fold_pair(adjacency, within)) is not None:
+                u, w = (1 << v for v in pair)
+                z = dict(self.subset_sum(within ^ u))
+                with_u = dict(self.subset_sum(within ^ w))
+                for key, mult in self.subset_sum(within ^ u ^ w).items():
+                    with_u[key] -= mult
+                with_u = {key: mult for key, mult in with_u.items() if mult}
+                _add_product(z, [(0, 0, 1), (1, 0, 1)], with_u)
             else:
                 low = within & -within
                 z = dict(self.subset_sum(within ^ low))
@@ -463,8 +480,8 @@ class _HochsterSum:
                         if not h:
                             break
                 else:
-                    w = _fold_vertex(adjacency, mask)
-                    if w is None:
+                    pair = _fold_pair(adjacency, mask)
+                    if pair is None:
                         faces = _independence_faces_by_size(adjacency, mask)
                         h = tuple(
                             (s, dim)
@@ -472,7 +489,7 @@ class _HochsterSum:
                             if dim
                         )
                     else:
-                        h = self.induced_homology(mask ^ (1 << w))
+                        h = self.induced_homology(mask ^ (1 << pair[1]))
             self.homology[mask] = h
         return h
 
@@ -532,22 +549,3 @@ class OracleMemo:
         bucket.append((g, report))
         return report
 
-
-def cross_field_check(
-    g: Graph, fields: tuple[FieldSpec, FieldSpec] = DEFAULT_FIELDS
-) -> CrossFieldReport:
-    """Compare Betti tables over two prime fields; arbitrate over QQ if they differ."""
-    t1 = hochster_betti_table(g, fields[0])
-    t2 = hochster_betti_table(g, fields[1])
-    if t1.entries == t2.entries:
-        return CrossFieldReport(fields, (t1, t2), True, (), None)
-    d1, d2 = t1.as_dict(), t2.as_dict()
-    differing = tuple(
-        sorted(
-            (i, j, d1.get((i, j), 0), d2.get((i, j), 0))
-            for (i, j) in set(d1) | set(d2)
-            if d1.get((i, j), 0) != d2.get((i, j), 0)
-        )
-    )
-    arbiter = hochster_betti_table(g, RATIONALS)
-    return CrossFieldReport(fields, (t1, t2), False, differing, arbiter)

@@ -31,11 +31,10 @@ from circdepth.homology import (
     InvariantReport,
     OracleMemo,
     OracleSizeError,
-    _fold_vertex,
+    _fold_pair,
     _homology_from_faces,
     _independence_faces_by_size,
     _rank_mod_p,
-    cross_field_check,
     hochster_betti_table,
     oracle_invariants,
     reduced_homology_dims,
@@ -143,30 +142,6 @@ def test_sparse_rational_rank_matches_dense_reference(matrix):
     assert _rank_mod_p(columns, 0) == _rank_dense_rational(nrows, columns)
 
 
-def test_cross_field_disagreement_triggers_arbiter(monkeypatch):
-    import circdepth.homology as hom
-
-    g = build_graph(PathSpec(3))
-    real = hom.hochster_betti_table
-    calls = []
-
-    def fake(graph, field=hom.GF32003, **kwargs):
-        calls.append(field)
-        table = real(graph, field, **kwargs)
-        if field == GF2:  # inject a fake characteristic-2 extra entry
-            bumped = dict(table.as_dict())
-            bumped[(2, 3)] = bumped.get((2, 3), 0) + 1
-            return hom.BettiTable.from_dict(table.ambient_vars, bumped)
-        return table
-
-    monkeypatch.setattr(hom, "hochster_betti_table", fake)
-    rep = hom.cross_field_check(g)
-    assert not rep.equal
-    assert (2, 3, 2, 1) in rep.differing
-    assert rep.arbiter is not None
-    assert calls[-1] == RATIONALS
-
-
 def test_hochster_path2():
     t = hochster_betti_table(build_graph(PathSpec(2)), GF32003)
     assert t.as_dict() == {(0, 0): 1, (1, 2): 1}
@@ -235,18 +210,26 @@ def test_table_entry_shape():
             assert j >= i
 
 
-def _hochster_reference(g, field):
-    """Reference Betti table: Hochster's sum over every vertex subset, taking
-    the homology of each whole induced independence complex (no isolated-vertex
-    skip, no component split, no leaf split, no folds)."""
-    beta = {}
+def _hochster_reference(g, fields):
+    """Reference Betti tables, one per field: Hochster's sum over every vertex
+    subset, taking the homology of each whole induced independence complex (no
+    isolated-vertex skip, no component split, no leaf split, no folds).  Each
+    subset's faces are enumerated once and ranked over every field."""
+    beta = {field: {} for field in fields}
     for mask in range(1 << g.num_vertices):
         j = mask.bit_count()
         faces = _independence_faces_by_size(g.adjacency, mask)
-        for s, dim in enumerate(_homology_from_faces(faces, field)):
-            if dim:
-                beta[(j - s, j)] = beta.get((j - s, j), 0) + dim
-    return BettiTable.from_dict(g.num_vertices, beta)
+        for field in fields:
+            for s, dim in enumerate(_homology_from_faces(faces, field)):
+                if dim:
+                    beta[field][(j - s, j)] = beta[field].get((j - s, j), 0) + dim
+    return {field: BettiTable.from_dict(g.num_vertices, beta[field]) for field in fields}
+
+
+def _assert_matches_reference(g, fields):
+    want = _hochster_reference(g, fields)
+    for field in fields:
+        assert hochster_betti_table(g, field) == want[field]
 
 
 def _graph_from_pairs(n, keep):
@@ -270,8 +253,7 @@ _small_graphs = _graphs_up_to(9)
 @given(_small_graphs)
 @settings(max_examples=40, deadline=None)
 def test_oracle_matches_plain_hochster_sum(g):
-    for field in (GF2, GF32003, RATIONALS):
-        assert hochster_betti_table(g, field) == _hochster_reference(g, field)
+    _assert_matches_reference(g, (GF2, GF32003, RATIONALS))
 
 
 def _forest(n, parents):
@@ -318,15 +300,43 @@ def test_leaf_splitting_matches_plain_hochster_sum(g, rng):
     # leaves and isolated vertices take the leaf and cone rules, in the sum
     # and in the homology of one induced subgraph; a star's centre gives the
     # (1 + x)^t factor its largest t
-    g = _relabeled(g, rng)
-    for field in (GF2, FieldSpec(3), RATIONALS):
-        assert hochster_betti_table(g, field) == _hochster_reference(g, field)
+    _assert_matches_reference(_relabeled(g, rng), (GF2, FieldSpec(3), RATIONALS))
 
 
 def _relabeled(g, rng):
     perm = list(range(g.num_vertices))
     rng.shuffle(perm)
     return graph_from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _with_dominating_vertex(core, at, extra):
+    """core plus a vertex w whose neighbours are N(u) and the vertices of core
+    outside N[u] that ``extra`` keeps, where u is vertex ``at`` of core, so
+    (u, w) is a fold pair; no kept extra makes u and w twins."""
+    n = core.num_vertices
+    u = at % n
+    outside = [v for v in range(n) if v != u and not core.adjacency[u] >> v & 1]
+    nbrs = [v for v in range(n) if core.adjacency[u] >> v & 1]
+    nbrs += [v for v, keep in zip(outside, extra) if keep]
+    return graph_from_edges(
+        [f"v{i+1}" for i in range(n + 1)], list(core.edges()) + [(v, n) for v in nbrs]
+    )
+
+
+_fold_graphs = st.builds(
+    _with_dominating_vertex,
+    _graphs_up_to(7),
+    st.integers(0, 6),
+    st.lists(st.booleans(), max_size=6),
+)
+
+
+@given(_fold_graphs, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_fold_rule_matches_plain_hochster_sum(g, rng):
+    # the fold pair (u, w) takes the fold rule in the sum before any connected
+    # set is listed, and again in the homology of the induced subgraphs
+    _assert_matches_reference(_relabeled(g, rng), (GF2, FieldSpec(3), RATIONALS))
 
 
 @given(_small_graphs, st.randoms(use_true_random=False))
@@ -406,12 +416,14 @@ def test_fold_vertex_brute_force(g, data):
         return u != w and adj[u] & mask & ~adj[w] == 0
 
     verts = [v for v in range(g.num_vertices) if mask >> v & 1]
-    w = _fold_vertex(adj, mask)
-    if w is None:
+    pair = _fold_pair(adj, mask)
+    if pair is None:
         assert not any(folds(u, x) for u in verts for x in verts)
     else:
-        assert w in verts
-        assert any(folds(u, w) for u in verts)
+        u, w = pair
+        assert u in verts and w in verts
+        assert folds(u, w)
+        assert not adj[u] >> w & 1
 
 
 def test_fold_reduction_bounds_face_enumerations(monkeypatch):
@@ -463,6 +475,11 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
         ("union:(path:5;star:4)", 0, 0),
         # the whole cycle has no leaf; every proper subset is a forest
         ("cycle:13", 1, 1),
+        # a ladder's corner and its diagonal vertex form a fold pair, and
+        # C_12(2,6), two copies of C_6(1,3) = K_{3,3}, is made of twins
+        ("ladderA:6", 0, 0),
+        ("ladderD:9", 0, 0),
+        ("cubic:6:2", 0, 0),
     ],
 )
 def test_leaf_splitting_counts(monkeypatch, text, connected_sets, faces):
@@ -488,10 +505,8 @@ def test_leaf_splitting_counts(monkeypatch, text, connected_sets, faces):
     "spec", [CycleSpec(6), CubicCirculantSpec(3, 1), CompleteSpec(5)]
 )
 def test_cross_field_examples(spec):
-    rep = cross_field_check(build_graph(spec))
-    assert rep.equal
-    assert rep.differing == ()
-    assert rep.arbiter is None
+    g = build_graph(spec)
+    assert hochster_betti_table(g, GF2) == hochster_betti_table(g, GF32003)
 
 
 def test_disjoint_union_additivity():
