@@ -55,13 +55,11 @@ from .homology import (
     OracleSizeError,
     hochster_betti_table,
     oracle_invariants,
-    reduced_homology_dims,
 )
 from .ideals import (
     ColonSummand,
     DegreeCapError,
     MonomialIdeal,
-    add_monomials,
     colon_by_monomial,
     colon_decomposition,
     edge_ideal,

@@ -62,12 +62,6 @@ class FormulaValue:
         return self.hi == self.lo
 
     @property
-    def kind(self) -> str:
-        if self.is_exact:
-            return "exact"
-        return "bounds" if self.hi is not None else "lower-bound"
-
-    @property
     def value(self) -> int:
         if not self.is_exact:
             raise ValueError(f"no exact value: {self}")

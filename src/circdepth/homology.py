@@ -6,7 +6,7 @@ This module evaluates that sum, computes reduced homology by exact rank
 computations over a chosen field, and extracts depth, projective dimension
 and regularity from the resulting table.
 
-Four reductions, all exact over every field:
+Five reductions, all exact over every field:
   * component transfer: the homology of Ind(G[sigma]) is the join over the
     components of G[sigma] and vanishes when one of them is a single vertex
     or acyclic, so the sum runs over unions of pairwise separated connected
@@ -32,8 +32,16 @@ Four reductions, all exact over every field:
     connected sets.  In the homology of one induced subgraph, a leafless
     component with such a pair is replaced by itself minus w, which splits
     and folds again.  Only vertex sets with no leaf and no fold pair reach
-    connected sets, and only components with neither reach face
-    enumeration and rank computation.
+    connected sets,
+  * the vertex split (Adamaszek 2012): Ind(H) is the union of Ind(H - v)
+    and the cone v * Ind(H - N[v]), which meet in Ind(H - N[v]).  When the
+    two have no nonzero reduced homology in a common degree, every map
+    between them in the Mayer-Vietoris sequence is zero, and
+    dim H~_i(Ind H) = dim H~_i(Ind(H - v)) + dim H~_{i-1}(Ind(H - N[v])).
+    A connected induced subgraph with no leaf and no fold pair is split at
+    the first vertex for which this holds; the leaf and fold rules are the
+    cases where one side is acyclic.  Only a component that no vertex
+    splits reaches face enumeration and rank computation.
 """
 
 from __future__ import annotations
@@ -233,45 +241,6 @@ def _homology_from_faces(faces_by_size: Sequence[Sequence[int]], field: FieldSpe
     return h
 
 
-def reduced_homology_dims(
-    faces_by_dim: Sequence[Sequence[Sequence[int]]], field: FieldSpec
-) -> list[int]:
-    """Reduced homology dimensions of a simplicial complex, indexed from -1.
-
-    faces_by_dim[k] lists the k-dimensional faces as vertex-index iterables;
-    the empty face is implicit.  The complex must be closed under taking
-    subsets (checked).  Position s of the result is dim H~_{s-1}, so a
-    2-sphere yields [0, 0, 0, 1].
-    """
-    faces_by_size: list[list[int]] = [[0]]
-    seen: set[int] = {0}
-    for k, faces in enumerate(faces_by_dim):
-        size = k + 1
-        masks = []
-        for face in faces:
-            verts = sorted(set(face))
-            if len(verts) != size:
-                raise ValueError(f"face {tuple(face)} is not {k}-dimensional")
-            mask = 0
-            for v in verts:
-                if v < 0:
-                    raise ValueError("vertex indices must be nonnegative")
-                mask |= 1 << v
-            if mask in seen:
-                raise ValueError(f"duplicate face {tuple(face)}")
-            masks.append(mask)
-            seen.add(mask)
-        faces_by_size.append(sorted(masks))
-    for s in range(2, len(faces_by_size)):
-        for mask in faces_by_size[s]:
-            for v in bits(mask):
-                if mask ^ (1 << v) not in seen:
-                    raise ValueError("complex is not closed under subsets")
-    h = _homology_from_faces(faces_by_size, field)
-    h += [0] * (len(faces_by_size) - len(h))
-    return h
-
-
 def _independence_faces_by_size(adjacency: Sequence[int], mask: int) -> list[list[int]]:
     """Independent subsets of ``mask`` grouped by cardinality ([0] at size 0)."""
     verts = list(bits(mask))
@@ -457,9 +426,19 @@ class _HochsterSum:
 
         With v the lowest vertex of degree <= 1, an isolated v makes a cone
         and a leaf v with neighbour w the suspension of Ind(G[mask - N[w]]).
-        Without one, a disconnected mask gives the join over its components, a
-        fold pair removes its vertex w, and a component with neither goes to
-        face enumeration and ranks.
+        Without one, a disconnected mask gives the join over its components
+        and a fold pair removes its vertex w.  A component with neither is
+        split at the first vertex v for which Ind(G[mask - N[v]]) and
+        Ind(G[mask - v]) have no nonzero index s in common: Ind(G[mask]) is
+        the union of Ind(G[mask - v]) and the cone v * Ind(G[mask - N[v]]),
+        which meet in Ind(G[mask - N[v]]), and with no common s every map
+        of the Mayer-Vietoris sequence between the two is zero, so
+
+            dim H~_i(mask) = dim H~_i(mask - v) + dim H~_{i-1}(mask - N[v])
+
+        over every field (Adamaszek, "Splittings of independence complexes
+        and the powers of cycles", 2012).  Only a component that no vertex
+        splits goes to face enumeration and ranks.
         """
         h = self.homology.get(mask)
         if h is None:
@@ -471,27 +450,43 @@ class _HochsterSum:
                 if nbr:
                     rest = mask & ~(adjacency[nbr.bit_length() - 1] | nbr)
                     h = tuple((s + 1, dim) for s, dim in self.induced_homology(rest))
+            elif len(parts := components_of_mask(adjacency, mask)) > 1:
+                h = ((0, 1),)  # the unit of the join
+                for part in parts:
+                    h = _join(h, self.induced_homology(part))
+                    if not h:
+                        break
+            elif (pair := _fold_pair(adjacency, mask)) is not None:
+                h = self.induced_homology(mask ^ (1 << pair[1]))
             else:
-                parts = components_of_mask(adjacency, mask)
-                if len(parts) > 1:
-                    h = ((0, 1),)  # the unit of the join
-                    for part in parts:
-                        h = _join(h, self.induced_homology(part))
-                        if not h:
-                            break
-                else:
-                    pair = _fold_pair(adjacency, mask)
-                    if pair is None:
-                        faces = _independence_faces_by_size(adjacency, mask)
-                        h = tuple(
-                            (s, dim)
-                            for s, dim in enumerate(_homology_from_faces(faces, self.field))
-                            if dim
-                        )
-                    else:
-                        h = self.induced_homology(mask ^ (1 << pair[1]))
+                h = self._vertex_split(mask)
+                if h is None:
+                    faces = _independence_faces_by_size(adjacency, mask)
+                    h = tuple(
+                        (s, dim)
+                        for s, dim in enumerate(_homology_from_faces(faces, self.field))
+                        if dim
+                    )
             self.homology[mask] = h
         return h
+
+    def _vertex_split(self, mask: int) -> Homology | None:
+        """Homology of Ind(G[mask]) from the first vertex that splits it, or None.
+
+        v splits mask when the homology A of mask - N[v] and B of mask - v
+        share no index s; the result is then B plus A with every s raised by
+        one.  Both are memoised, so a vertex that fails still fills the memo.
+        """
+        adjacency = self.adjacency
+        for v in bits(mask):
+            a = self.induced_homology(mask & ~(adjacency[v] | 1 << v))
+            b = self.induced_homology(mask ^ 1 << v)
+            if not {s for s, _dim in a} & {s for s, _dim in b}:
+                out = dict(b)
+                for s, dim in a:
+                    out[s + 1] = out.get(s + 1, 0) + dim
+                return tuple(out.items())
+        return None
 
 
 def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:

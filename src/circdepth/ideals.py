@@ -102,11 +102,6 @@ def colon_by_monomial(ideal: MonomialIdeal, u: int) -> MonomialIdeal:
     return MonomialIdeal.create(ideal.ambient_vars, (g & ~u for g in ideal.generators))
 
 
-def add_monomials(ideal: MonomialIdeal, supports: Iterable[int]) -> MonomialIdeal:
-    """(I, m1, m2, ...) for the given supports, reminimalized."""
-    return MonomialIdeal.create(ideal.ambient_vars, [*ideal.generators, *supports])
-
-
 # ---------------------------------------------------------------------------
 # Standard monomial counting
 # ---------------------------------------------------------------------------

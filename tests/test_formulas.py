@@ -144,8 +144,7 @@ def test_union_composition():
     rep = formula_for_spec(spec)
     assert rep.depth.value == 2 + 2
     assert rep.pdim.value == 9 - 4
-    assert rep.sdepth.kind == "lower-bound"
-    assert rep.sdepth.lo == 4
+    assert (rep.sdepth.lo, rep.sdepth.hi) == (4, None)  # a lower bound only
 
 
 @given(_specs)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import circdepth.homology as hom
 from circdepth.graphs import (
+    CirculantSpec,
     CompleteSpec,
     CubicCirculantSpec,
     CycleSpec,
@@ -20,6 +21,7 @@ from circdepth.graphs import (
     find_isomorphism,
     graph_from_edges,
     induced_subgraph,
+    components_of_mask,
     parse_graph_spec,
 )
 from circdepth.homology import (
@@ -31,13 +33,13 @@ from circdepth.homology import (
     InvariantReport,
     OracleMemo,
     OracleSizeError,
+    _HochsterSum,
     _fold_pair,
     _homology_from_faces,
     _independence_faces_by_size,
     _rank_mod_p,
     hochster_betti_table,
     oracle_invariants,
-    reduced_homology_dims,
 )
 
 from conftest import random_connected_graph, random_graph
@@ -50,14 +52,26 @@ def test_field_spec_validation():
     assert str(RATIONALS) == "QQ"
 
 
+def _reduced_homology(faces_by_dim, field):
+    """Reduced homology dims of a simplicial complex, indexed from -1, by
+    _homology_from_faces: faces_by_dim[k] lists the k-dimensional faces as
+    vertex lists, the empty face is implicit, and position s of the result is
+    dim H~_{s-1}, padded with zeros to the top dimension."""
+    faces_by_size = [[0]] + [
+        [sum(1 << v for v in face) for face in faces] for faces in faces_by_dim
+    ]
+    h = _homology_from_faces(faces_by_size, field)
+    return h + [0] * (len(faces_by_size) - len(h))
+
+
 def test_two_points():
-    assert reduced_homology_dims([[[0], [1]]], GF2) == [0, 1]
+    assert _reduced_homology([[[0], [1]]], GF2) == [0, 1]
 
 
 def test_hollow_triangle():
     faces = [[[0], [1], [2]], [[0, 1], [0, 2], [1, 2]]]
     for field in (GF2, GF32003, RATIONALS):
-        assert reduced_homology_dims(faces, field) == [0, 0, 1]
+        assert _reduced_homology(faces, field) == [0, 0, 1]
 
 
 def test_tetrahedron_boundary():
@@ -66,26 +80,21 @@ def test_tetrahedron_boundary():
         [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
     ]
-    assert reduced_homology_dims(faces, GF32003) == [0, 0, 0, 1]
+    assert _reduced_homology(faces, GF32003) == [0, 0, 0, 1]
 
 
 def test_solid_triangle_is_acyclic():
     faces = [[[0], [1], [2]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]]
-    assert reduced_homology_dims(faces, GF2) == [0, 0, 0, 0]
-
-
-def test_closure_validation():
-    with pytest.raises(ValueError, match="closed"):
-        reduced_homology_dims([[[0]], [[0, 1]]], GF2)
-    with pytest.raises(ValueError, match="duplicate"):
-        reduced_homology_dims([[[0], [0]]], GF2)
+    assert _reduced_homology(faces, GF2) == [0, 0, 0, 0]
 
 
 def test_projective_plane_sees_the_characteristic():
     # the 6-vertex triangulation: closed non-orientable surface, chi = 1, so
     # mod-2 homology has rank 1 in degrees 1 and 2 while rational homology
     # vanishes; exercises both rank kernels over all three fields on a
-    # torsion example
+    # torsion example.  The oracle reaches face enumeration only where no
+    # vertex split applies, so this is the main check that the fallback's rank
+    # kernels see the characteristic
     triangles = [
         [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
         [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
@@ -95,9 +104,9 @@ def test_projective_plane_sees_the_characteristic():
     for e in edges:
         assert sum(set(e) <= set(t) for t in triangles) == 2  # closed surface
     faces = [[[v] for v in range(6)], edges, triangles]
-    assert reduced_homology_dims(faces, GF2) == [0, 0, 1, 1]
-    assert reduced_homology_dims(faces, GF32003) == [0, 0, 0, 0]
-    assert reduced_homology_dims(faces, RATIONALS) == [0, 0, 0, 0]
+    assert _reduced_homology(faces, GF2) == [0, 0, 1, 1]
+    assert _reduced_homology(faces, GF32003) == [0, 0, 0, 0]
+    assert _reduced_homology(faces, RATIONALS) == [0, 0, 0, 0]
 
 
 def _rank_dense_rational(nrows, columns):
@@ -339,6 +348,80 @@ def test_fold_rule_matches_plain_hochster_sum(g, rng):
     _assert_matches_reference(_relabeled(g, rng), (GF2, FieldSpec(3), RATIONALS))
 
 
+# circulants on at most 10 vertices: cycles (shift set {1}), the cubic
+# circulants C_2n(a, n) and denser ones such as C_8(1,3,4), the complement of
+# C_4 + C_4; their leafless, fold-free components go to the vertex split
+_circulants = st.integers(4, 10).flatmap(
+    lambda q: st.sets(st.integers(1, q // 2), min_size=1).map(
+        lambda shifts: build_graph(CirculantSpec(q, tuple(shifts)))
+    )
+)
+
+
+@given(st.one_of(_small_graphs, _circulants), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_vertex_split_matches_plain_hochster_sum(g, rng):
+    _assert_matches_reference(_relabeled(g, rng), (GF2, FieldSpec(3), RATIONALS))
+
+
+def _face_homology(adjacency, mask, field):
+    """{s: dim H~_{s-1}} of Ind(G[mask]) from its faces, zero dims dropped."""
+    h = _homology_from_faces(_independence_faces_by_size(adjacency, mask), field)
+    return {s: dim for s, dim in enumerate(h) if dim}
+
+
+@given(_small_graphs, st.data(), st.sampled_from((GF2, FieldSpec(3), RATIONALS)))
+@settings(max_examples=200, deadline=None)
+def test_vertex_split_brute_force(g, data, field):
+    # whenever the homology of G[mask] - N[v] and of G[mask] - v share no
+    # index s, the split's sum is the homology of G[mask] itself
+    adj = g.adjacency
+    drawn = data.draw(st.integers(1, (1 << g.num_vertices) - 1))
+    mask = components_of_mask(adj, drawn)[0]
+    want = _face_homology(adj, mask, field)
+    splits = False
+    for v in range(g.num_vertices):
+        if not mask >> v & 1:
+            continue
+        a = _face_homology(adj, mask & ~(adj[v] | 1 << v), field)
+        b = _face_homology(adj, mask ^ 1 << v, field)
+        if a.keys() & b.keys():
+            continue
+        splits = True
+        got = dict(b)
+        for s, dim in a.items():
+            got[s + 1] = got.get(s + 1, 0) + dim
+        assert got == want
+    split = _HochsterSum(adj, field)._vertex_split(mask)
+    if splits:
+        assert dict(split) == want
+    else:
+        assert split is None
+
+
+def test_vertex_split_falls_back_to_faces(monkeypatch):
+    # the complement of C_4 + C_4: at every vertex v, G - N[v] is one edge,
+    # whose Ind is two points, and Ind(G - v) is a circle beside an arc, so
+    # both have homology at s = 1 and no vertex splits the whole graph
+    g = build_graph(CirculantSpec(8, (1, 3, 4)))
+    full = (1 << g.num_vertices) - 1
+    fields = (GF2, FieldSpec(3), RATIONALS)
+    want = _hochster_reference(g, fields)
+    calls = []
+    real = hom._independence_faces_by_size
+
+    def counted(adjacency, mask):
+        calls.append(mask)
+        return real(adjacency, mask)
+
+    monkeypatch.setattr(hom, "_independence_faces_by_size", counted)
+    for field in fields:
+        assert _HochsterSum(g.adjacency, field)._vertex_split(full) is None
+        calls.clear()
+        assert hochster_betti_table(g, field) == want[field]
+        assert calls == [full]
+
+
 @given(_small_graphs, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_table_is_invariant_under_relabeling(g, rng):
@@ -427,7 +510,8 @@ def test_fold_vertex_brute_force(g, data):
 
 
 def test_fold_reduction_bounds_face_enumerations(monkeypatch):
-    # cubic:6:1 took 1,439 face enumerations before the fold reduction
+    # cubic:6:1 took 1,439 face enumerations before the fold reduction and 17
+    # before the vertex split, which now settles every component it meets
     import circdepth.homology as hom
 
     calls = []
@@ -439,7 +523,7 @@ def test_fold_reduction_bounds_face_enumerations(monkeypatch):
 
     monkeypatch.setattr(hom, "_independence_faces_by_size", counted)
     hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
-    assert 0 < len(calls) <= 100
+    assert calls == []
 
 
 def test_component_transfer_bounds_isolated_checks(monkeypatch):
@@ -464,7 +548,7 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
     monkeypatch.setattr(hom, "_independence_faces_by_size", faces)
     hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
     assert 0 < counts["isolated"] <= 2000
-    assert 0 < counts["faces"] <= 100
+    assert counts["faces"] == 0  # the vertex split settles every component
 
 
 @pytest.mark.parametrize(
@@ -473,8 +557,17 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
         ("path:13", 0, 0),
         ("star:8", 0, 0),
         ("union:(path:5;star:4)", 0, 0),
-        # the whole cycle has no leaf; every proper subset is a forest
-        ("cycle:13", 1, 1),
+        # the whole cycle has no leaf and no fold pair, so it is one connected
+        # set, which the vertex split settles; every proper subset is a forest
+        ("cycle:12", 1, 0),
+        ("cycle:13", 1, 0),
+        # cubic circulants: the fold-free vertex sets list connected sets,
+        # and the vertex split settles each of them without faces
+        ("cubic:6:1", 7, 0),
+        ("cubic:10:1", 46, 0),
+        # the complement of C_4 + C_4: at every vertex the two sides of the
+        # split have homology in the same index, so its faces are enumerated
+        ("circulant:8:1,3,4", 9, 1),
         # a ladder's corner and its diagonal vertex form a fold pair, and
         # C_12(2,6), two copies of C_6(1,3) = K_{3,3}, is made of twins
         ("ladderA:6", 0, 0),

@@ -29,7 +29,6 @@ from circdepth.ideals import (
     DegreeCapError,
     MonomialIdeal,
     _colon_quotient_counts,
-    add_monomials,
     colon_by_monomial,
     colon_decomposition,
     edge_ideal,
@@ -57,7 +56,7 @@ def test_edge_ideal_examples():
 def test_colon_and_sum_examples():
     i = MonomialIdeal.create(3, [0b011, 0b110])
     assert colon_by_monomial(i, 0b010).generators == (0b001, 0b100)
-    j = add_monomials(MonomialIdeal.create(3, [0b011]), [0b100])
+    j = MonomialIdeal.create(3, [0b011, 0b100])
     assert j.generators == (0b100, 0b011)
 
 
@@ -72,7 +71,7 @@ def test_colon_inside_ideal_rejected():
     [
         lambda: MonomialIdeal.create(3, [1, -3]),
         lambda: MonomialIdeal.create(3, [1, 0b1001]),
-        lambda: add_monomials(MonomialIdeal.create(3, [0b011]), [0b1011]),
+        lambda: MonomialIdeal.create(3, [0b011, 0b1011]),
         lambda: colon_by_monomial(MonomialIdeal.create(3, [0b011, 0b110]), 1 << 5),
         lambda: colon_by_monomial(MonomialIdeal.create(3, [0b011]), -2),
     ],
@@ -107,7 +106,7 @@ def test_minimality_invariant(i):
 @settings(max_examples=60)
 def test_sum_stays_minimal(i, extra):
     extra = extra % (1 << i.ambient_vars) or 1
-    j = add_monomials(i, [extra])
+    j = MonomialIdeal.create(i.ambient_vars, [*i.generators, extra])
     for g1 in j.generators:
         for g2 in j.generators:
             assert g1 == g2 or g1 & ~g2 != 0
@@ -286,7 +285,7 @@ def test_ladder_c7_sum_and_colon_chain():
     g = build_graph(LadderSpec("C", 7))
     x7 = 1 << g.index_of("x7")
     y8 = 1 << g.index_of("y8")
-    summed = add_monomials(edge_ideal(g), [x7])
+    summed = MonomialIdeal.create(g.num_vertices, [*edge_ideal(g).generators, x7])
 
     a6 = build_graph(LadderSpec("A", 6))
     model = graph_from_edges(
@@ -300,7 +299,7 @@ def test_ladder_c7_sum_and_colon_chain():
     )
     assert is_isomorphic(_degree_two_support_graph(summed, g.labels), model)
 
-    with_y8 = add_monomials(summed, [y8])
+    with_y8 = MonomialIdeal.create(g.num_vertices, [*summed.generators, y8])
     assert is_isomorphic(
         _degree_two_support_graph(with_y8, g.labels), build_graph(LadderSpec("C", 6))
     )
