@@ -58,12 +58,10 @@ from .homology import (
 )
 from .ideals import (
     ColonSummand,
-    DegreeCapError,
     MonomialIdeal,
     colon_by_monomial,
     colon_decomposition,
     edge_ideal,
-    standard_monomial_count,
     verify_colon_decomposition,
 )
 from .sdepth import (

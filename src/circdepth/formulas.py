@@ -204,10 +204,7 @@ def cubic_connected_invariants(chord: int, n: int) -> FormulaReport:
         else:
             d = ceil_div(n - 1, 2)
             rule = "ceil((n-1)/2)"
-        if r == 1:
-            sdepth = FormulaValue.exact(d)
-            stag = f"sdepth={d}"
-        elif r == 2:
+        if r in (1, 2):
             sdepth = FormulaValue.exact(d)
             stag = f"sdepth={d}"
         else:

@@ -2,27 +2,19 @@
 
 Monomial supports are bitmasks over variable indices.  The one nontrivial
 operation here is the colon decomposition of (I(G) : pivot)/I(G) into free
-summands over smaller rings, together with a degree-by-degree dimension
-verifier that counts both sides independently.  Its left side reads only
-the ideal: it walks the standard supports S and weights each with the
-C(d-1, |S|-1) monomials of degree d whose support is S.  Its right side
-sums standard-monomial counts of the summands.
+summands over smaller rings.  Its verifier walks the standard supports of I
+and of each summand's ideal (``standard_supports``, the package's one such
+walk) and checks that the summands' supports, each with its adjoined
+variable, are exactly the colon quotient's supports, each once.  That holds
+in every degree at once, so there is no degree cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Sequence
 
 from .graphs import Graph, bits, is_connected
-
-DEFAULT_DEGREE_CAP = 6
-
-
-class DegreeCapError(ValueError):
-    """Requested standard-monomial degree exceeds the configured cap."""
-
 
 @dataclass(frozen=True)
 class MonomialIdeal:
@@ -103,46 +95,39 @@ def colon_by_monomial(ideal: MonomialIdeal, u: int) -> MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# Standard monomial counting
+# Standard supports
 # ---------------------------------------------------------------------------
 
 
-def standard_monomial_count(
-    ideal: MonomialIdeal, degree: int, cap: int = DEFAULT_DEGREE_CAP
-) -> int:
-    """Number of degree-d monomials of the ambient ring not lying in the ideal.
+def standard_supports(ideal: MonomialIdeal) -> list[int]:
+    """The supports of the squarefree monomials outside ``ideal``, in walk order.
 
-    Sums signed multiple-counts over lcms of generator subsets
-    (inclusion-exclusion).
+    Each support grows by variables above its highest one, so every subset
+    is reached once, from itself minus its top variable; the ideal is closed
+    upward, so a pruned branch holds no standard support.  Adding variable v
+    can only complete a generator whose highest variable is v, so only those
+    are tested: the degree-2 ones with one AND against ``below[v]``, the
+    rest one by one.
     """
-    if degree < 0:
-        return 0
-    if degree > cap:
-        raise DegreeCapError(f"degree {degree} exceeds cap {cap}")
     q = ideal.ambient_vars
-    gens = ideal.generators
-    total = _monomials_of_degree(q, degree)
-
-    # DFS over generator subsets; the lcm of a squarefree set is the support
-    # union, and once it outgrows the degree every superset contributes 0.
-    in_ideal = 0
-
-    def walk(start: int, lcm: int, sign: int) -> None:
-        nonlocal in_ideal
-        for idx in range(start, len(gens)):
-            new = lcm | gens[idx]
-            k = new.bit_count()
-            if k > degree:
-                continue
-            in_ideal += sign * _monomials_of_degree(q, degree - k)
-            walk(idx + 1, new, -sign)
-
-    walk(0, 0, 1)
-    return total - in_ideal
-
-
-def _monomials_of_degree(q: int, d: int) -> int:
-    return comb(d + q - 1, q - 1) if q > 0 else (1 if d == 0 else 0)
+    # below[v]: the other variable of each degree-2 generator with highest
+    # variable v; rests[v]: every other such generator, minus v (0 for the
+    # degree-1 generator v itself, which every m completes)
+    below = [0] * q
+    rests: list[list[int]] = [[] for _ in range(q)]
+    for g in ideal.generators:  # nonempty, inside the q variables
+        top = g.bit_length() - 1
+        rest = g ^ (1 << top)
+        if rest.bit_count() == 1:
+            below[top] |= rest
+        else:
+            rests[top].append(rest)
+    supports = [0]
+    for m in supports:  # grows while it is walked
+        for v in range(m.bit_length(), q):
+            if not m & below[v] and not any(r & m == r for r in rests[v]):
+                supports.append(m | 1 << v)
+    return supports
 
 
 # ---------------------------------------------------------------------------
@@ -222,58 +207,36 @@ def colon_decomposition(
     return summands
 
 
-def _colon_quotient_counts(ideal: MonomialIdeal, pivot: int, dmax: int) -> list[int]:
-    """Monomials of each degree 0..dmax lying in (I : pivot) but not in I.
-
-    Both conditions depend only on the monomial's support S, and there are
-    C(d-1, |S|-1) monomials of degree d >= 1 with support exactly S (the
-    empty support has degree 0 only).  So the supports outside I of size at
-    most dmax are walked once, each grown by variables above its highest
-    one; I is closed upward, so a pruned branch holds no standard support.
-    """
-    pivot_bit = 1 << pivot
-    colon = [0] * (dmax + 1)  # colon[s]: standard supports of size s in (I : pivot)
-    supports = [0]
-    for m in supports:  # grows while it is walked
-        size = m.bit_count()
-        if ideal.contains_support(m | pivot_bit):
-            colon[size] += 1
-        if size < dmax:
-            for v in range(m.bit_length(), ideal.ambient_vars):
-                grown = m | 1 << v
-                if not ideal.contains_support(grown):
-                    supports.append(grown)
-    return [colon[0]] + [
-        sum(comb(d - 1, s - 1) * colon[s] for s in range(1, d + 1))
-        for d in range(1, dmax + 1)
-    ]
-
-
 def verify_colon_decomposition(
-    g: Graph,
-    pivot: int,
-    dmax: int,
-    order: Sequence[int] | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
+    g: Graph, pivot: int, order: Sequence[int] | None = None
 ) -> bool:
-    """Check the colon decomposition degree by degree up to dmax.
+    """Check the colon decomposition by a bijection of standard supports.
 
-    The left side counts monomials of each degree d lying in (I : pivot) but
-    not in I.  It reads only I, not the summands: it walks the standard
-    supports S of I and weights each with the C(d-1, |S|-1) monomials of
-    degree d whose support is S.  The right side sums, over summands, the
-    degree d-1 standard monomials of J_t with the adjoined variable free.
-    Degree d-1 because each summand sits inside the quotient shifted by one
-    (its elements are multiples of the adjoined variable).
+    The colon quotient (I : pivot)/I is spanned by the monomials whose
+    support S is standard for I with S | pivot in I; this side reads only I,
+    not the summands.  Summand t is spanned by the multiples of its adjoined
+    variable t times the standard monomials of J_t, so its standard support
+    T over ring_t maps to T | t.  The check passes when every image is a
+    colon support, no image repeats and the images cover every colon support.
+    A support S carries C(d-1, |S|-1) monomials of degree d on either side,
+    so this proves the two sides equal in every degree.
     """
-    if dmax > cap:
-        raise DegreeCapError(f"dmax {dmax} exceeds cap {cap}")
-    with_adjoined = [
-        MonomialIdeal(s.ideal.ambient_vars + 1, s.ideal.generators)
-        for s in colon_decomposition(g, pivot, order=order)
-    ]
-    lhs = _colon_quotient_counts(edge_ideal(g), pivot, dmax)
-    return all(
-        lhs[d] == sum(standard_monomial_count(j, d - 1, cap=cap) for j in with_adjoined)
-        for d in range(dmax + 1)
-    )
+    ideal = edge_ideal(g)
+    pivot_bit = 1 << pivot
+    # a standard S has S | pivot in I exactly when S contains the rest of a
+    # generator through the pivot
+    rests = [gen ^ pivot_bit for gen in ideal.generators if gen & pivot_bit]
+    colon = {
+        s for s in standard_supports(ideal) if any(r & s == r for r in rests)
+    }
+    images: set[int] = set()
+    for summand in colon_decomposition(g, pivot, order=order):
+        ring = list(bits(summand.ring_vars))
+        for support in standard_supports(summand.ideal):
+            image = 1 << summand.adjoined_var
+            for i in bits(support):
+                image |= 1 << ring[i]
+            if image not in colon or image in images:
+                return False
+            images.add(image)
+    return len(images) == len(colon)

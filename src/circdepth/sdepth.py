@@ -34,7 +34,7 @@ from math import comb
 from typing import Sequence
 
 from .graphs import bits
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, standard_supports
 
 POSET_VAR_CAP = 14
 
@@ -119,36 +119,17 @@ class SdepthResult:
 
 
 def char_poset(ideal: MonomialIdeal) -> CharPoset:
-    """Enumerate the standard squarefree monomials of ``ideal`` as masks.
+    """The standard squarefree monomials of ``ideal`` as masks, sorted by rank.
 
-    Each element grows by variables above its highest one, so every subset
-    is reached once, from itself minus its top variable.  Adding variable v
-    can only complete a generator whose highest variable is v, so only those
-    are tested: the degree-2 ones with one AND against ``below[v]``, the
-    rest one by one.
+    The masks come from ``ideals.standard_supports``; this adds the
+    variable cap and the (rank, mask) order the solver indexes by.
     """
     q = ideal.ambient_vars
     if q > POSET_VAR_CAP:
         raise PosetSizeError(
             f"{q} variables exceeds the poset cap of {POSET_VAR_CAP}"
         )
-    # below[v]: the other variable of each degree-2 generator with highest
-    # variable v; rests[v]: every other such generator, minus v (0 for the
-    # degree-1 generator v itself, which every m completes)
-    below = [0] * q
-    rests: list[list[int]] = [[] for _ in range(q)]
-    for g in ideal.generators:  # nonempty, inside the q variables
-        top = g.bit_length() - 1
-        rest = g ^ (1 << top)
-        if rest.bit_count() == 1:
-            below[top] |= rest
-        else:
-            rests[top].append(rest)
-    elements = [0]
-    for m in elements:  # grows while it is walked
-        for v in range(m.bit_length(), q):
-            if not m & below[v] and not any(r & m == r for r in rests[v]):
-                elements.append(m | 1 << v)
+    elements = standard_supports(ideal)
     elements.sort(key=lambda m: (m.bit_count(), m))
     return CharPoset(q, tuple(elements))
 

@@ -243,6 +243,20 @@ def test_verify_paper_colon_mismatch(capsys, monkeypatch):
     assert "ERROR" not in {r[verdict] for r in rows}
 
 
+def test_verify_paper_colon_rows_for_every_n():
+    # the colon rows run for every n from 3 to max_n, prisms at odd n only
+    colon = [
+        (t.family, t.params) for t in cli._verify_tasks(8, True)
+        if t.family.startswith("colon-")
+    ]
+    expected = []
+    for n in range(3, 9):
+        expected += [("colon-ladderA", f"n={n},pivot=y{n}"), ("colon-cubic1n", f"n={n},pivot=y1")]
+        if n % 2 == 1:
+            expected.append(("colon-cubic2n", f"n={n},pivot=y{n}"))
+    assert colon == expected
+
+
 def test_verify_paper_tier_limits(capsys):
     code, _, err = run_cli(capsys, "verify-paper", "--max-n", "8")
     assert code == 2

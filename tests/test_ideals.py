@@ -1,9 +1,8 @@
-"""Edge ideals, colon/sum arithmetic, standard-monomial counts and the
-colon-quotient decomposition with its dimension verifier."""
+"""Edge ideals, colon/sum arithmetic, standard supports and the
+colon-quotient decomposition with its support-bijection verifier."""
 
 import dataclasses
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,13 +25,11 @@ from circdepth.graphs import (
 )
 from circdepth.ideals import (
     ColonSummand,
-    DegreeCapError,
     MonomialIdeal,
-    _colon_quotient_counts,
     colon_by_monomial,
     colon_decomposition,
     edge_ideal,
-    standard_monomial_count,
+    standard_supports,
     verify_colon_decomposition,
 )
 
@@ -142,57 +139,12 @@ def test_edge_ideal_matches_minimalized_create(case):
     assert edge_ideal(g) == MonomialIdeal.create(n, edges)
 
 
-def _count_reference(ideal, degree):
-    """Standard monomials of one degree, by walking every monomial of it."""
-    count = 0
-    for combo in combinations_with_replacement(range(ideal.ambient_vars), degree):
-        support = 0
-        for v in combo:
-            support |= 1 << v
-        count += not ideal.contains_support(support)
-    return count
-
-
-def _colon_count_reference(ideal, pivot, degree):
-    """Monomials of one degree in (I : pivot) but not in I, by walking every
-    monomial of that degree."""
-    count = 0
-    for combo in combinations_with_replacement(range(ideal.ambient_vars), degree):
-        support = 0
-        for v in combo:
-            support |= 1 << v
-        if ideal.contains_support(support | 1 << pivot) and not ideal.contains_support(support):
-            count += 1
-    return count
-
-
-def test_standard_count_examples():
-    assert standard_monomial_count(MonomialIdeal.create(3, []), 2) == 6
-    assert standard_monomial_count(MonomialIdeal.create(2, [0b11]), 2) == 2
-    p3 = edge_ideal(build_graph(PathSpec(3)))
-    assert standard_monomial_count(p3, 2) == 4
-
-
-def test_standard_count_cap():
-    i = MonomialIdeal.create(3, [])
-    with pytest.raises(DegreeCapError):
-        standard_monomial_count(i, 7)
-    assert standard_monomial_count(i, 7, cap=8) == 36
-
-
-@given(ideals, st.integers(min_value=0, max_value=6))
-@settings(max_examples=80, deadline=None)
-def test_count_routes_agree(i, d):
-    assert standard_monomial_count(i, d) == _count_reference(i, d)
-
-
-@given(ideals, st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
-@example(MonomialIdeal.create(2, [0b01]), 0, 2)  # the pivot is a generator: 1 counts
-@settings(max_examples=80, deadline=None)
-def test_colon_counts_match_monomial_walk(i, pivot, dmax):
-    pivot %= i.ambient_vars
-    assert _colon_quotient_counts(i, pivot, dmax) == [
-        _colon_count_reference(i, pivot, d) for d in range(dmax + 1)
+@given(ideals)
+@settings(max_examples=100)
+def test_standard_supports_match_brute_force(i):
+    # sorted, so a support reached twice shows as well as a missing one
+    assert sorted(standard_supports(i)) == [
+        s for s in range(1 << i.ambient_vars) if not i.contains_support(s)
     ]
 
 
@@ -311,11 +263,11 @@ def test_ladder_c7_sum_and_colon_chain():
 
 def test_verify_examples():
     a3 = build_graph(LadderSpec("A", 3))
-    assert verify_colon_decomposition(a3, a3.index_of("y3"), 5)
+    assert verify_colon_decomposition(a3, a3.index_of("y3"))
     p3 = build_graph(PathSpec(3))
-    assert verify_colon_decomposition(p3, p3.index_of("x2"), 4)
+    assert verify_colon_decomposition(p3, p3.index_of("x2"))
     m5 = moebius_ladder(5)
-    assert verify_colon_decomposition(m5, m5.index_of("y1"), 4)
+    assert verify_colon_decomposition(m5, m5.index_of("y1"))
 
 
 def test_verify_rejects_disconnected():
@@ -335,7 +287,7 @@ def test_verify_fuzz_small():
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(2, 7))
         pivot = rng.randrange(g.num_vertices)
-        assert verify_colon_decomposition(g, pivot, 3)
+        assert verify_colon_decomposition(g, pivot)
 
 
 def test_verify_every_pivot_on_small_corpus():
@@ -349,7 +301,7 @@ def test_verify_every_pivot_on_small_corpus():
     ]
     for g in corpus:
         for pivot in range(g.num_vertices):
-            assert verify_colon_decomposition(g, pivot, 4)
+            assert verify_colon_decomposition(g, pivot)
 
 
 def _drop_last_summand(g, pivot, order=None):
@@ -377,6 +329,30 @@ def _swap_first_two_adjoined(g, pivot, order=None):
     ]
 
 
+@given(st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_verify_passes_honest_decompositions_in_any_order(n, rng):
+    g = random_connected_graph(rng, n)
+    pivot = rng.randrange(n)
+    order = list(bits(g.adjacency[pivot]))
+    rng.shuffle(order)
+    assert verify_colon_decomposition(g, pivot, order=order)
+
+
+def test_verify_sees_supports_past_degree_four(monkeypatch):
+    # the first summand loses its standard supports of size >= 4, so the
+    # two sides first differ in degree 5; the check reads no degree
+    g = moebius_ladder(8)
+    pivot = g.index_of("y1")
+    real = colon_decomposition(g, pivot)
+    first = real[0]
+    cut = next(s for s in standard_supports(first.ideal) if s.bit_count() == 4)
+    smaller = MonomialIdeal.create(first.ideal.ambient_vars, [*first.ideal.generators, cut])
+    broken = [dataclasses.replace(first, ideal=smaller), *real[1:]]
+    monkeypatch.setattr(ideals_module, "colon_decomposition", lambda *args, **kw: broken)
+    assert not verify_colon_decomposition(g, pivot)
+
+
 @pytest.mark.parametrize("build", [moebius_ladder, prism], ids=["moebius", "prism"])
 @pytest.mark.parametrize("n", [3, 5])
 def test_verify_rejects_broken_decompositions(monkeypatch, build, n):
@@ -384,9 +360,18 @@ def test_verify_rejects_broken_decompositions(monkeypatch, build, n):
     pivot = g.index_of("y1")
     for broken in (_drop_last_summand, _forget_earlier_neighbors):
         monkeypatch.setattr(ideals_module, "colon_decomposition", broken)
-        assert not verify_colon_decomposition(g, pivot, 4), broken.__name__
-    # the dimension count never reads the adjoined variables; a swap puts a
-    # neighbor inside the other summand's ring, which ColonSummand refuses
+        assert not verify_colon_decomposition(g, pivot), broken.__name__
     monkeypatch.setattr(ideals_module, "colon_decomposition", _swap_first_two_adjoined)
+    # here a swap puts a neighbor inside the other summand's ring, which
+    # ColonSummand refuses
     with pytest.raises(ValueError, match="adjoined variable"):
-        verify_colon_decomposition(g, pivot, 4)
+        verify_colon_decomposition(g, pivot)
+    # on the paw (triangle x1 x2 x3, pendant edge x3 x4), pivot x1,
+    # ColonSummand accepts the swap: x3 is adjoined to the ring {x4}, but
+    # x3 x4 is an edge, so the image {x3, x4} is no colon support
+    paw = graph_from_edges(["x1", "x2", "x3", "x4"], [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert not verify_colon_decomposition(paw, 0)
+    # on complete:4 every summand's ring is empty, so the swapped list is
+    # the same direct sum
+    k4 = build_graph(CompleteSpec(4))
+    assert verify_colon_decomposition(k4, 0)
