@@ -79,9 +79,6 @@ class Graph:
                 out.append((v, v + 1 + u))
         return out
 
-    def edge_labels(self) -> set[frozenset[str]]:
-        return {frozenset((self.labels[u], self.labels[v])) for u, v in self.edges()}
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency[u] >> v) & 1)
 
@@ -96,9 +93,6 @@ class Graph:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"no vertex labeled {label!r}") from None
-
-    def is_regular(self, d: int) -> bool:
-        return all(row.bit_count() == d for row in self.adjacency)
 
 
 def graph_from_edges(labels: Sequence[str], edges: Sequence[tuple[int, int]]) -> Graph:

@@ -6,42 +6,33 @@ This module evaluates that sum, computes reduced homology by exact rank
 computations over a chosen field, and extracts depth, projective dimension
 and regularity from the resulting table.
 
-Five reductions, all exact over every field:
-  * component transfer: the homology of Ind(G[sigma]) is the join over the
-    components of G[sigma] and vanishes when one of them is a single vertex
-    or acyclic, so the sum runs over unions of pairwise separated connected
-    sets of size >= 2 (_HochsterSum), not over all 2^q subsets,
-  * the homology of each induced subgraph is computed once per call and
-    reused,
-  * the leaf lemma (Engstrom, "Independence complexes of claw-free graphs",
-    2008; the splitting of Adamaszek, "Splittings of independence complexes
-    and the powers of cycles", 2012): if u is a leaf of H with neighbour w,
-    then Ind(H) is homotopy equivalent to the suspension of Ind(H - N[w]).
-    It is used twice.  In the sum, a leaf v of G[U] splits the subsets of U
-    into those without v and those with v and w, whose homology is that of
-    U - N[w] suspended, so the sum over them is one product with Z(U - N[w]);
-    a forest never reaches connected sets or faces.  In the homology of one
-    induced subgraph, a leaf replaces the subgraph by its suspended
-    remainder in one step,
-  * the fold lemma (same papers): if N(u) is contained in N(w) for u != w,
-    then Ind(H) is homotopy equivalent to Ind(H - w).  It is used twice
-    as well, on the pair that _fold_pair returns.  In the sum, a leafless
-    vertex set U with such a pair (u, w) gives every subset that holds both u
-    and w the homology of that subset minus w, so those subsets cost one
-    difference of sums over U - w and U - u - w, and U never reaches its
-    connected sets.  In the homology of one induced subgraph, a leafless
-    component with such a pair is replaced by itself minus w, which splits
-    and folds again.  Only vertex sets with no leaf and no fold pair reach
-    connected sets,
-  * the vertex split (Adamaszek 2012): Ind(H) is the union of Ind(H - v)
-    and the cone v * Ind(H - N[v]), which meet in Ind(H - N[v]).  When the
-    two have no nonzero reduced homology in a common degree, every map
-    between them in the Mayer-Vietoris sequence is zero, and
-    dim H~_i(Ind H) = dim H~_i(Ind(H - v)) + dim H~_{i-1}(Ind(H - N[v])).
-    A connected induced subgraph with no leaf and no fold pair is split at
-    the first vertex for which this holds; the leaf and fold rules are the
-    cases where one side is acyclic.  Only a component that no vertex
-    splits reaches face enumeration and rank computation.
+Every rule below is exact over every field.  Ind(H) is the independence
+complex of H, and N[w] is w with its neighbours.
+
+  * simplicial vertex (Adamaszek, "Splittings of independence complexes and
+    the powers of cycles", 2012): if the neighbours of v are pairwise
+    adjacent, then Ind(H) is homotopy equivalent to the wedge over w in N(v)
+    of the suspensions of Ind(H - N[w]).  An isolated vertex (a cone) and a
+    leaf (Engstrom's leaf lemma) are its cases with zero and one neighbour,
+    and a complete graph K_q is settled in O(q^2) terms,
+  * fold (Engstrom, "Independence complexes of claw-free graphs", 2008): if
+    N(u) is contained in N(w) for u != w, then Ind(H) is homotopy equivalent
+    to Ind(H - w),
+  * component transfer: Ind of a disconnected graph is the join over its
+    components, so its homology vanishes when one of them is a single vertex
+    or acyclic, and Hochster's sum runs over unions of pairwise separated
+    connected sets of size >= 2, not over all 2^q subsets,
+  * vertex split (Adamaszek 2012): Ind(H) is the union of Ind(H - v) and the
+    cone v * Ind(H - N[v]), which meet in Ind(H - N[v]).  When the two have
+    no nonzero reduced homology in a common degree, every map between them
+    in the Mayer-Vietoris sequence is zero, and
+    dim H~_i(Ind H) = dim H~_i(Ind(H - v)) + dim H~_{i-1}(Ind(H - N[v])),
+  * faces: a connected induced subgraph that no rule reduces has its
+    independent sets enumerated and its homology read off boundary ranks.
+
+The simplicial and fold rules run at both levels: in the sum over subsets
+(_HochsterSum.subset_sum) and in the homology of one induced subgraph
+(_HochsterSum.induced_homology).  Both levels are memoised for one table.
 """
 
 from __future__ import annotations
@@ -142,24 +133,6 @@ SparseColumns = list[list[tuple[int, int]]]
 Homology = tuple[tuple[int, int], ...]
 
 
-def _rank_gf2(columns: SparseColumns) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        acc = 0
-        for row, _sign in col:
-            acc ^= 1 << row
-        while acc:
-            p = acc.bit_length() - 1
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = acc
-                rank += 1
-                break
-            acc ^= other
-    return rank
-
-
 def _rank_mod_p(columns: SparseColumns, p: int) -> int:
     """Rank over GF(p), or over the rationals when p == 0 (as in FieldSpec).
 
@@ -210,15 +183,6 @@ def _boundary_columns(lower: Sequence[int], upper: Sequence[int]) -> SparseColum
     return columns
 
 
-def _boundary_rank(lower: Sequence[int], upper: Sequence[int], field: FieldSpec) -> int:
-    if not lower or not upper:
-        return 0
-    columns = _boundary_columns(lower, upper)
-    if field.characteristic == 2:
-        return _rank_gf2(columns)
-    return _rank_mod_p(columns, field.characteristic)
-
-
 # ---------------------------------------------------------------------------
 # Reduced homology
 # ---------------------------------------------------------------------------
@@ -234,7 +198,8 @@ def _homology_from_faces(faces_by_size: Sequence[Sequence[int]], field: FieldSpe
     top = len(faces_by_size) - 1
     ranks = [0] * (top + 2)
     for s in range(1, top + 1):
-        ranks[s] = _boundary_rank(faces_by_size[s - 1], faces_by_size[s], field)
+        columns = _boundary_columns(faces_by_size[s - 1], faces_by_size[s])
+        ranks[s] = _rank_mod_p(columns, field.characteristic)
     h = [len(faces_by_size[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1)]
     while h and h[-1] == 0:
         h.pop()
@@ -261,17 +226,25 @@ def _independence_faces_by_size(adjacency: Sequence[int], mask: int) -> list[lis
     return faces
 
 
-def _pendant(adjacency: Sequence[int], mask: int) -> tuple[int, int] | None:
-    """(v, N(v) & mask) for the lowest vertex v of degree <= 1 in G[mask], or None.
+def _simplicial(adjacency: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """(v, N(v) & mask) for the lowest vertex v of G[mask] whose neighbours
+    are pairwise adjacent, or None.
 
-    The neighbourhood is 0 when v is isolated and one bit when v is a leaf.
+    A vertex of degree <= 1 passes at once.  Otherwise its neighbours are
+    checked lowest first, and the check stops at the first neighbour that
+    misses a higher one, so a triangle-free graph costs one test per vertex.
     """
     m = mask
     while m:
         low = m & -m
         v = low.bit_length() - 1
-        nbr = adjacency[v] & mask
-        if not nbr & (nbr - 1):
+        nbr = rest = adjacency[v] & mask
+        while rest & (rest - 1):
+            u = rest & -rest
+            rest ^= u
+            if rest & ~adjacency[u.bit_length() - 1]:
+                break
+        else:
             return v, nbr
         m ^= low
     return None
@@ -340,35 +313,34 @@ def _add_product(
 
 
 class _HochsterSum:
-    """Hochster's sum for one graph and field by leaf splitting, folds and component transfer.
+    """Hochster's sum for one graph and field by the rules of the module docstring.
 
     Z(U) is the sum over subsets sigma of U of the homology of Ind(G[sigma]),
     kept as {(|sigma|, s): sum of dim H~_{s-1}}, with Z({}) = 1.  A term
-    x^k y^s of a product adds k to each size and s to each index.  With v the
-    lowest vertex of degree <= 1 in G[U]:
+    x^k y^s of a product adds k to each size and s to each index.  The first
+    rule that applies to U gives Z(U):
 
-      * v isolated: every sigma containing v is a cone, so Z(U) = Z(U - v);
-      * v a leaf with neighbour w: a sigma containing v and w is the
-        suspension of Ind(G[sigma - N[w]]) by the leaf lemma, whichever of the
-        other t = |N(w) & U| - 1 neighbours of w it contains, so
+      * a simplicial vertex v of G[U]: v stays simplicial in every G[sigma]
+        that holds it, so such a sigma is a cone unless it holds a neighbour
+        w of v, and then it contributes the suspension of
+        Ind(G[sigma - N[w]]) for each such w, whichever of the other
+        t_w = |N(w) & U| - 1 neighbours of w it holds.  Hence
 
-            Z(U) = Z(U - v) + x^2 (1 + x)^t y Z(U - N[w]);
+            Z(U) = Z(U - v) + sum over w in N(v) & U of
+                   x^2 (1 + x)^t_w y Z(U - N[w]);
 
-      * no such v, but a fold pair (u, w) of G[U], so N(u) & U <= N(w) & U
-        and u, w are not adjacent: a sigma containing u and w keeps the pair,
-        so Ind(G[sigma]) is homotopy equivalent to Ind(G[sigma - w]) by the
-        fold lemma, and the subsets sigma - w are those of U - w that contain
-        u, which gives
+      * a fold pair (u, w) of G[U], so N(u) & U <= N(w) & U and u, w are not
+        adjacent: a sigma holding u and w keeps the pair, so Ind(G[sigma])
+        is homotopy equivalent to Ind(G[sigma - w]), and the sets sigma - w
+        are the subsets of U - w that hold u, which gives
 
             Z(U) = Z(U - u) + (1 + x) (Z(U - w) - Z(U - u - w));
 
         the difference has no negative coefficient, and its zero ones are
         not stored;
 
-      * neither: the homology of Ind(G[sigma]) is the join over the
-        components of G[sigma] and vanishes when one of them is a single
-        vertex or acyclic, so splitting off the component C of the lowest
-        vertex v of U gives
+      * otherwise, by component transfer, splitting off the component C of
+        the lowest vertex v of U gives
 
             Z(U) = Z(U - v) + sum of x^|C| h_C Z(U - N[C])
 
@@ -385,21 +357,18 @@ class _HochsterSum:
         self.homology: dict[int, Homology] = {0: ((0, 1),)}  # Ind of the empty graph
 
     def subset_sum(self, within: int) -> SubsetSum:
-        """Z(within); the dict is the memo's own, and an isolated vertex's
-        rule stores it under two keys, so callers must not change it."""
+        """Z(within); the dict is the memo's own, so callers must not change it."""
         z = self.sums.get(within)
         if z is None:
             adjacency = self.adjacency
-            pendant = _pendant(adjacency, within)
-            if pendant is not None:
-                v, nbr = pendant
-                z = self.subset_sum(within ^ (1 << v))
-                if nbr:
-                    z = dict(z)
-                    w = nbr.bit_length() - 1
+            simplicial = _simplicial(adjacency, within)
+            if simplicial is not None:
+                v, nbr = simplicial
+                z = dict(self.subset_sum(within ^ (1 << v)))
+                for w in bits(nbr):
                     t = (adjacency[w] & within).bit_count() - 1
                     factor = [(2 + a, 1, comb(t, a)) for a in range(t + 1)]
-                    rest = within & ~(adjacency[w] | nbr)
+                    rest = within & ~(adjacency[w] | 1 << w)
                     _add_product(z, factor, self.subset_sum(rest))
             elif (pair := _fold_pair(adjacency, within)) is not None:
                 u, w = (1 << v for v in pair)
@@ -424,32 +393,23 @@ class _HochsterSum:
     def induced_homology(self, mask: int) -> Homology:
         """Reduced homology of Ind(G[mask]).
 
-        With v the lowest vertex of degree <= 1, an isolated v makes a cone
-        and a leaf v with neighbour w the suspension of Ind(G[mask - N[w]]).
-        Without one, a disconnected mask gives the join over its components
-        and a fold pair removes its vertex w.  A component with neither is
-        split at the first vertex v for which Ind(G[mask - N[v]]) and
-        Ind(G[mask - v]) have no nonzero index s in common: Ind(G[mask]) is
-        the union of Ind(G[mask - v]) and the cone v * Ind(G[mask - N[v]]),
-        which meet in Ind(G[mask - N[v]]), and with no common s every map
-        of the Mayer-Vietoris sequence between the two is zero, so
-
-            dim H~_i(mask) = dim H~_i(mask - v) + dim H~_{i-1}(mask - N[v])
-
-        over every field (Adamaszek, "Splittings of independence complexes
-        and the powers of cycles", 2012).  Only a component that no vertex
-        splits goes to face enumeration and ranks.
+        The first rule that applies gives it: a simplicial vertex v makes it
+        the sum over w in N(v) of the homology of mask - N[w] with every s
+        raised by one (none for an isolated v); a disconnected mask gives the
+        join over its components; a fold pair removes its vertex w; then the
+        vertex split, and only a component that no vertex splits goes to
+        face enumeration and ranks.
         """
         h = self.homology.get(mask)
         if h is None:
             adjacency = self.adjacency
-            pendant = _pendant(adjacency, mask)
-            if pendant is not None:
-                nbr = pendant[1]
-                h = ()
-                if nbr:
-                    rest = mask & ~(adjacency[nbr.bit_length() - 1] | nbr)
-                    h = tuple((s + 1, dim) for s, dim in self.induced_homology(rest))
+            simplicial = _simplicial(adjacency, mask)
+            if simplicial is not None:
+                out: dict[int, int] = {}
+                for w in bits(simplicial[1]):
+                    for s, dim in self.induced_homology(mask & ~(adjacency[w] | 1 << w)):
+                        out[s + 1] = out.get(s + 1, 0) + dim
+                h = tuple(out.items())
             elif len(parts := components_of_mask(adjacency, mask)) > 1:
                 h = ((0, 1),)  # the unit of the join
                 for part in parts:

@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Sequence
 
 from .graphs import bits
 from .ideals import MonomialIdeal, standard_supports
@@ -51,7 +50,6 @@ class _Budget(Exception):
 class CharPoset:
     """All variable subsets whose squarefree monomial avoids the ideal."""
 
-    num_vars: int
     elements: tuple[int, ...]  # sorted by (cardinality, mask)
 
     @property
@@ -98,18 +96,6 @@ class IntervalPartition:
     def min_top_size(self) -> int:
         return min(iv.top_size for iv in self.intervals)
 
-    def to_json_obj(self, labels: Sequence[str] | None = None) -> list[dict]:
-        def names(mask: int) -> list:
-            idxs = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-            if labels is None:
-                return idxs
-            return [labels[i] for i in idxs]
-
-        return [
-            {"lower": names(iv.lower), "upper": names(iv.upper)}
-            for iv in self.intervals
-        ]
-
 
 @dataclass(frozen=True)
 class SdepthResult:
@@ -131,7 +117,7 @@ def char_poset(ideal: MonomialIdeal) -> CharPoset:
         )
     elements = standard_supports(ideal)
     elements.sort(key=lambda m: (m.bit_count(), m))
-    return CharPoset(q, tuple(elements))
+    return CharPoset(tuple(elements))
 
 
 def _interval_cells(lower: int, upper: int) -> list[int]:
@@ -322,17 +308,12 @@ def sdepth_exact(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     floor = max(floor, 0)
 
-    if floor == 0:
-        base = IntervalPartition(tuple(Interval(m, m) for m in poset.elements))
-    else:
-        try:
-            base = find_partition(poset, floor, deadline)
-        except _Budget:
-            return SdepthResult(floor, False, None)
-        if base is None:
-            raise ValueError(
-                f"claimed lower bound {floor} admits no interval partition"
-            )
+    try:
+        base = find_partition(poset, floor, deadline)
+    except _Budget:
+        return SdepthResult(floor, False, None)
+    if base is None:
+        raise ValueError(f"claimed lower bound {floor} admits no interval partition")
 
     value, witness = floor, base
     for k in range(floor + 1, counting_bound(poset) + 1):

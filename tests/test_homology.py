@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from circdepth.homology import (
     _homology_from_faces,
     _independence_faces_by_size,
     _rank_mod_p,
+    _simplicial,
     hochster_betti_table,
     oracle_invariants,
 )
@@ -91,10 +93,10 @@ def test_solid_triangle_is_acyclic():
 def test_projective_plane_sees_the_characteristic():
     # the 6-vertex triangulation: closed non-orientable surface, chi = 1, so
     # mod-2 homology has rank 1 in degrees 1 and 2 while rational homology
-    # vanishes; exercises both rank kernels over all three fields on a
-    # torsion example.  The oracle reaches face enumeration only where no
-    # vertex split applies, so this is the main check that the fallback's rank
-    # kernels see the characteristic
+    # vanishes; exercises the rank kernel over all three fields on a torsion
+    # example.  The oracle reaches face enumeration only where no vertex split
+    # applies, so this is the main check that the fallback's rank kernel sees
+    # the characteristic
     triangles = [
         [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
         [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
@@ -222,8 +224,8 @@ def test_table_entry_shape():
 def _hochster_reference(g, fields):
     """Reference Betti tables, one per field: Hochster's sum over every vertex
     subset, taking the homology of each whole induced independence complex (no
-    isolated-vertex skip, no component split, no leaf split, no folds).  Each
-    subset's faces are enumerated once and ranked over every field."""
+    simplicial-vertex split, no component split, no folds, no vertex split).
+    Each subset's faces are enumerated once and ranked over every field."""
     beta = {field: {} for field in fields}
     for mask in range(1 << g.num_vertices):
         j = mask.bit_count()
@@ -316,6 +318,81 @@ def _relabeled(g, rng):
     perm = list(range(g.num_vertices))
     rng.shuffle(perm)
     return graph_from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _with_clique(core, size, attach):
+    """core plus a clique on ``size`` new vertices, each (i, v) in attach
+    joining clique vertex i to core vertex v; clique vertex 0 is never
+    attached, so it stays simplicial."""
+    n = core.num_vertices
+    edges = list(core.edges()) + [(n + a, n + b) for a, b in combinations(range(size), 2)]
+    edges += [(n + i % size, v % n) for i, v in attach if i % size]
+    return graph_from_edges([f"v{i+1}" for i in range(n + size)], edges)
+
+
+def _triangles(n, triples):
+    """The union of the triangles on the given vertex triples of range(n)."""
+    edges = {(a, b) for t in triples for a, b in combinations(sorted(set(t)), 2)}
+    return graph_from_edges([f"v{i+1}" for i in range(n)], sorted(edges))
+
+
+_simplicial_graphs = st.one_of(
+    st.integers(1, 9).map(lambda q: build_graph(CompleteSpec(q))),
+    st.builds(
+        _with_clique,
+        _graphs_up_to(5),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=6),
+    ),
+    st.integers(3, 9).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=5
+        ).map(lambda triples: _triangles(n, triples))
+    ),
+)
+
+
+@given(_simplicial_graphs, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_simplicial_rule_matches_plain_hochster_sum(g, rng):
+    # a simplicial vertex v takes the rule before any fold pair or connected
+    # set, once per neighbour w of v, in the sum and in the homology of the
+    # induced subgraphs; K_q is simplicial at every vertex
+    _assert_matches_reference(_relabeled(g, rng), (GF2, FieldSpec(3), RATIONALS))
+
+
+@given(
+    st.one_of(_small_graphs, _simplicial_graphs),
+    st.data(),
+    st.sampled_from((GF2, FieldSpec(3), RATIONALS)),
+)
+@settings(max_examples=200, deadline=None)
+def test_simplicial_vertex_brute_force(g, data, field):
+    # _simplicial returns the lowest vertex v whose neighbours in G[mask] are
+    # pairwise adjacent; the homology of G[mask] is then the sum over w in
+    # N(v) of the homology of G[mask] - N[w] with every s raised by one
+    mask = data.draw(st.integers(0, (1 << g.num_vertices) - 1))
+    adj = g.adjacency
+
+    def neighbours(v):
+        return [u for u in range(g.num_vertices) if (adj[v] & mask) >> u & 1]
+
+    def simplicial(v):
+        return all(adj[a] >> b & 1 for a, b in combinations(neighbours(v), 2))
+
+    verts = [v for v in range(g.num_vertices) if mask >> v & 1]
+    want = next((v for v in verts if simplicial(v)), None)
+    got = _simplicial(adj, mask)
+    if want is None:
+        assert got is None
+        return
+    assert got == (want, adj[want] & mask)
+    wedge = {}
+    for w in neighbours(want):
+        for s, dim in _face_homology(adj, mask & ~(adj[w] | 1 << w), field).items():
+            wedge[s + 1] = wedge.get(s + 1, 0) + dim
+    assert wedge == _face_homology(adj, mask, field)
+    assert dict(_HochsterSum(adj, field).induced_homology(mask)) == wedge
 
 
 def _with_dominating_vertex(core, at, extra):
@@ -528,12 +605,12 @@ def test_fold_reduction_bounds_face_enumerations(monkeypatch):
 
 def test_component_transfer_bounds_isolated_checks(monkeypatch):
     # cubic:6:1 made >= 4,096 isolated-vertex checks (one per subset) when
-    # Hochster's sum walked every vertex subset; the check is _pendant, which
-    # finds an isolated vertex or a leaf
+    # Hochster's sum walked every vertex subset; the check is _simplicial,
+    # which finds an isolated vertex, a leaf or another simplicial vertex
     import circdepth.homology as hom
 
     counts = {"isolated": 0, "faces": 0}
-    real_isolated = hom._pendant
+    real_isolated = hom._simplicial
     real_faces = hom._independence_faces_by_size
 
     def isolated(adjacency, mask):
@@ -544,7 +621,7 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
         counts["faces"] += 1
         return real_faces(adjacency, mask)
 
-    monkeypatch.setattr(hom, "_pendant", isolated)
+    monkeypatch.setattr(hom, "_simplicial", isolated)
     monkeypatch.setattr(hom, "_independence_faces_by_size", faces)
     hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
     assert 0 < counts["isolated"] <= 2000
@@ -566,8 +643,13 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
         ("cubic:6:1", 7, 0),
         ("cubic:10:1", 46, 0),
         # the complement of C_4 + C_4: at every vertex the two sides of the
-        # split have homology in the same index, so its faces are enumerated
-        ("circulant:8:1,3,4", 9, 1),
+        # split have homology in the same index, so its faces are enumerated;
+        # every proper subset has a simplicial vertex or a fold pair
+        ("circulant:8:1,3,4", 1, 1),
+        # K_q: every vertex is simplicial, and C_12(3,6), three copies of
+        # C_4(1,2) = K_4, is made of cliques
+        ("complete:16", 0, 0),
+        ("cubic:6:3", 0, 0),
         # a ladder's corner and its diagonal vertex form a fold pair, and
         # C_12(2,6), two copies of C_6(1,3) = K_{3,3}, is made of twins
         ("ladderA:6", 0, 0),

@@ -98,6 +98,24 @@ def test_partition_validation_catches_bad_partitions():
     assert not validate_partition(poset, partial)
 
 
+@pytest.mark.parametrize(
+    "text", ["path:1", "star:5", "cubic:4:1", "complete:6", "ladderB:0", None]
+)
+def test_find_partition_at_zero_is_all_singletons(text):
+    # sdepth_exact seeds its search with find_partition(poset, 0), whose
+    # witness is every standard support as its own interval; None is the
+    # zero-variable ring
+    if text is None:
+        ideal = MonomialIdeal.create(0, [])
+    else:
+        ideal = edge_ideal(build_graph(parse_graph_spec(text)))
+    poset = char_poset(ideal)
+    want = IntervalPartition(tuple(Interval(m, m) for m in poset.elements))
+    assert find_partition(poset, 0) == want
+    r = sdepth_exact(ideal)
+    assert r.is_exact and validate_partition(poset, r.witness)
+
+
 def test_find_partition_decision_boundary():
     poset = char_poset(edge_ideal(build_graph(CycleSpec(5))))
     assert find_partition(poset, 2) is not None
@@ -183,15 +201,6 @@ def test_zero_check_examples():
     zero = [sdepth_exact(ideal).value == 0 for ideal in ideals]
     assert zero == [char_poset(ideal).elements == (0,) for ideal in ideals]
     assert zero == [False, False, False, True]
-
-
-def test_witness_json_export():
-    g = build_graph(PathSpec(3))
-    r = sdepth_exact(edge_ideal(g))
-    obj = r.witness.to_json_obj(labels=g.labels)
-    assert all(set(iv) == {"lower", "upper"} for iv in obj)
-    covered = {frozenset(iv["lower"]) for iv in obj}
-    assert frozenset() in covered
 
 
 def _cells(lower, upper):
