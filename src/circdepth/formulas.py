@@ -4,12 +4,14 @@ Every function returns exact integers or explicit bounds as pure ceiling /
 floor arithmetic; no floating point anywhere.  Each report carries a source
 tag naming the family, the branch key it selected (n mod 4, parity of 2n/t)
 and the formula, so any value can be traced to the rule that produced it.
+A general cubic circulant is read through CubicCirculantSpec.split: its
+depth is the copy count times the depth of the connected component, so the
+gcd split is computed in ``graphs`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .graphs import (
     CirculantSpec,
@@ -234,44 +236,35 @@ def cubic_connected_invariants(chord: int, n: int) -> FormulaReport:
     return _from_depth(2 * n, d, tag, sdepth)
 
 
+# The paper's depth rule for each parity of 2n/t and whether the component's
+# second shift (n/t or 2n/t) is 1 mod 4: copies times the connected depth.
+_CUBIC_RULES = {
+    ("even", True): "ceil(n/2t)*t",
+    ("even", False): "ceil((n-t)/2t)*t",
+    ("odd", True): "ceil((2n-t)/2t)*(t/2)",
+    ("odd", False): "ceil(n/t)*(t/2)",
+}
+
+
 def cubic_general_invariants(n: int, a: int) -> FormulaReport:
     """Invariants of any cubic circulant C_{2n}(a,n), 1 <= a < n.
 
-    With t = gcd(2n, a) the graph splits into isomorphic connected copies;
-    depth adds over copies, so the exact depth follows from the connected
-    values.  Stanley depth only superadditive over disjoint pieces, so for
-    more than one copy the report carries a lower bound; for a single copy
-    the connected value or bound is passed through.
+    CubicCirculantSpec.split gives the isomorphic connected copies; depth
+    adds over copies, so the exact depth is the copy count times the
+    connected depth.  Stanley depth only superadditive over disjoint pieces,
+    so for more than one copy the report carries a lower bound; for a single
+    copy the connected value or bound is passed through.
     """
     if n < 2 or not 1 <= a < n:
         raise FormulaUnavailable("cubic circulant needs n >= 2 and 1 <= a < n")
-    t = gcd(2 * n, a)
-    m = 2 * n // t
-    if m % 2 == 0:
-        copies = t
-        nt = n // t
-        rt = nt % 4
-        if rt == 1:
-            depth = ceil_div(n, 2 * t) * t
-            rule = "ceil(n/2t)*t"
-        else:
-            depth = ceil_div(n - t, 2 * t) * t
-            rule = "ceil((n-t)/2t)*t"
-        branch = f"t={t}, 2n/t even, (n/t)%4={rt}"
-        connected = cubic_connected_invariants(1, nt) if copies == 1 else None
-    else:
-        copies = t // 2
-        rm = m % 4
-        if rm == 1:
-            depth = ceil_div(2 * n - t, 2 * t) * copies
-            rule = "ceil((2n-t)/2t)*(t/2)"
-        else:
-            depth = ceil_div(n, t) * copies
-            rule = "ceil(n/t)*(t/2)"
-        branch = f"t={t}, 2n/t odd, (2n/t)%4={rm}"
-        connected = cubic_connected_invariants(2, m) if copies == 1 else None
-
-    if connected is not None:
+    t, parity, copies, component = CubicCirculantSpec(n, a).split()
+    chord, m = component.shifts
+    connected = cubic_connected_invariants(chord, m)
+    depth = copies * connected.depth.value
+    rule = _CUBIC_RULES[parity, m % 4 == 1]
+    quotient = "n/t" if chord == 1 else "2n/t"
+    branch = f"t={t}, 2n/t {parity}, ({quotient})%4={m % 4}"
+    if copies == 1:
         sdepth = connected.sdepth
         stag = "sdepth from the connected form"
     else:

@@ -317,6 +317,18 @@ class CubicCirculantSpec:
     def build(self) -> Graph:
         return _circulant(2 * self.n, (self.a, self.n))
 
+    def split(self) -> tuple[int, str, int, CirculantSpec]:
+        """The gcd split: (t, parity of 2n/t, copy count, connected component).
+
+        With t = gcd(2n, a) the graph is t copies of C_{2n/t}(1, n/t) when
+        2n/t is even, otherwise t/2 copies of C_{4n/t}(2, 2n/t).
+        """
+        t = gcd(2 * self.n, self.a)
+        m = 2 * self.n // t
+        if m % 2 == 0:
+            return t, "even", t, CirculantSpec(m, (1, m // 2))
+        return t, "odd", t // 2, CirculantSpec(2 * m, (2, m))
+
 
 def _ladder_edges(n: int) -> list[tuple[str, str]]:
     # x1..xn bottom row, y1..yn top row, rung at every column
@@ -707,25 +719,15 @@ class DecompositionReport:
 def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
     """Split the cubic circulant C_{2n}(a, n) into copies of one connected circulant.
 
-    With t = gcd(2n, a): if 2n/t is even the graph is t copies of
-    C_{2n/t}(1, n/t), otherwise t/2 copies of C_{4n/t}(2, 2n/t).  The claim is
-    validated against the built graph (component count and per-component
-    isomorphism witnesses); a failure raises DecompositionError.  Components
-    with equal induced adjacency share one isomorphism search.  A component
-    above MAX_ISO_VERTICES raises IsomorphismSizeError before any graph is built.
+    The copies and the component are those of CubicCirculantSpec.split.  The
+    claim is validated against the built graph (component count and
+    per-component isomorphism witnesses); a failure raises DecompositionError.
+    Components with equal induced adjacency share one isomorphism search.  A
+    component above MAX_ISO_VERTICES raises IsomorphismSizeError before any
+    graph is built.
     """
     spec = CubicCirculantSpec(n, a)  # validates n, a
-    t = gcd(2 * n, a)
-    m = (2 * n) // t
-    if m % 2 == 0:
-        parity = "even"
-        copy_count = t
-        component_spec = CirculantSpec(m, (1, n // t))
-    else:
-        parity = "odd"
-        copy_count = t // 2
-        component_spec = CirculantSpec(2 * m, (2, m))
-
+    t, parity, copy_count, component_spec = spec.split()
     _check_iso_size(component_spec.num_vertices)
     g = build_graph(spec)
     comps = connected_components(g)

@@ -28,7 +28,9 @@ complex of H, and N[w] is w with its neighbours.
     in the Mayer-Vietoris sequence is zero, and
     dim H~_i(Ind H) = dim H~_i(Ind(H - v)) + dim H~_{i-1}(Ind(H - N[v])),
   * faces: a connected induced subgraph that no rule reduces has its
-    independent sets enumerated and its homology read off boundary ranks.
+    independent sets, the standard supports of its edge ideal
+    (ideals.standard_supports), enumerated and its homology read off
+    boundary ranks.
 
 The simplicial and fold rules run at both levels: in the sum over subsets
 (_HochsterSum.subset_sum) and in the homology of one induced subgraph
@@ -39,10 +41,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 from typing import Iterator, Sequence
 
-from .graphs import Graph, _refined_colors, bits, components_of_mask, find_isomorphism
+from .graphs import (
+    Graph,
+    _refined_colors,
+    bits,
+    components_of_mask,
+    find_isomorphism,
+    induced_subgraph,
+)
+from .ideals import edge_ideal, standard_supports
 
 ORACLE_VERTEX_CAP = 20
 SLOW_TIER_MIN = 16
@@ -188,42 +199,19 @@ def _boundary_columns(lower: Sequence[int], upper: Sequence[int]) -> SparseColum
 # ---------------------------------------------------------------------------
 
 
-def _homology_from_faces(faces_by_size: Sequence[Sequence[int]], field: FieldSpec) -> list[int]:
-    """Reduced homology dims from faces-as-masks grouped by cardinality.
+def _homology_from_faces(faces: Sequence[int], field: FieldSpec) -> Homology:
+    """Reduced homology of a simplicial complex from its faces as masks.
 
-    faces_by_size[s] holds the size-s faces; faces_by_size[0] must be [0]
-    (the empty face).  Returns h with h[s] = dim H~_{s-1}, trailing zeros
-    stripped.
+    ``faces`` lists every face once in order of size, so it starts with the
+    empty face 0, as ``standard_supports`` walks them.
     """
-    top = len(faces_by_size) - 1
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        columns = _boundary_columns(faces_by_size[s - 1], faces_by_size[s])
+    by_size = [list(group) for _size, group in groupby(faces, int.bit_count)]
+    ranks = [0] * (len(by_size) + 1)
+    for s in range(1, len(by_size)):
+        columns = _boundary_columns(by_size[s - 1], by_size[s])
         ranks[s] = _rank_mod_p(columns, field.characteristic)
-    h = [len(faces_by_size[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1)]
-    while h and h[-1] == 0:
-        h.pop()
-    return h
-
-
-def _independence_faces_by_size(adjacency: Sequence[int], mask: int) -> list[list[int]]:
-    """Independent subsets of ``mask`` grouped by cardinality ([0] at size 0)."""
-    verts = list(bits(mask))
-    faces: list[list[int]] = [[0]]
-
-    def extend(start: int, cur: int, size: int, banned: int) -> None:
-        for idx in range(start, len(verts)):
-            v = verts[idx]
-            if (banned >> v) & 1:
-                continue
-            new = cur | (1 << v)
-            if size + 1 == len(faces):
-                faces.append([])
-            faces[size + 1].append(new)
-            extend(idx + 1, new, size + 1, banned | adjacency[v])
-
-    extend(0, 0, 0, 0)
-    return faces
+    dims = (len(faces_s) - ranks[s] - ranks[s + 1] for s, faces_s in enumerate(by_size))
+    return tuple((s, dim) for s, dim in enumerate(dims) if dim)
 
 
 def _simplicial(adjacency: Sequence[int], mask: int) -> tuple[int, int] | None:
@@ -350,8 +338,9 @@ class _HochsterSum:
     whole object.
     """
 
-    def __init__(self, adjacency: Sequence[int], field: FieldSpec) -> None:
-        self.adjacency = adjacency
+    def __init__(self, graph: Graph, field: FieldSpec) -> None:
+        self.graph = graph
+        self.adjacency = graph.adjacency
         self.field = field
         self.sums: dict[int, SubsetSum] = {0: {(0, 0): 1}}
         self.homology: dict[int, Homology] = {0: ((0, 1),)}  # Ind of the empty graph
@@ -421,12 +410,8 @@ class _HochsterSum:
             else:
                 h = self._vertex_split(mask)
                 if h is None:
-                    faces = _independence_faces_by_size(adjacency, mask)
-                    h = tuple(
-                        (s, dim)
-                        for s, dim in enumerate(_homology_from_faces(faces, self.field))
-                        if dim
-                    )
+                    ideal = edge_ideal(induced_subgraph(self.graph, mask))
+                    h = _homology_from_faces(standard_supports(ideal), self.field)
             self.homology[mask] = h
         return h
 
@@ -463,7 +448,7 @@ def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:
             f"{q} vertices exceeds the oracle cap of {ORACLE_VERTEX_CAP}; "
             "closed-form family values remain available"
         )
-    z = _HochsterSum(g.adjacency, field).subset_sum((1 << q) - 1)
+    z = _HochsterSum(g, field).subset_sum((1 << q) - 1)
     beta = {(j - s, j): mult for (j, s), mult in z.items()}
     return BettiTable.from_dict(q, beta)
 

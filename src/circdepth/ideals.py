@@ -2,11 +2,15 @@
 
 Monomial supports are bitmasks over variable indices.  The one nontrivial
 operation here is the colon decomposition of (I(G) : pivot)/I(G) into free
-summands over smaller rings.  Its verifier walks the standard supports of I
-and of each summand's ideal (``standard_supports``, the package's one such
-walk) and checks that the summands' supports, each with its adjoined
-variable, are exactly the colon quotient's supports, each once.  That holds
-in every degree at once, so there is no degree cap.
+summands over smaller rings; each summand's ideal is the edge ideal of
+``graphs.induced_subgraph`` on its ring.  Its verifier walks the standard
+supports of I and of each summand's ideal and checks that the summands'
+supports, each with its adjoined variable, are exactly the colon quotient's
+supports, each once.  That holds in every degree at once, so there is no
+degree cap.  ``standard_supports`` is the package's one walk over
+independent sets: the standard supports of an edge ideal are the
+independent sets of its graph, and the homology oracle reads its faces from
+it too.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, is_connected
+from .graphs import Graph, bits, induced_subgraph, is_connected
 
 @dataclass(frozen=True)
 class MonomialIdeal:
@@ -165,7 +169,7 @@ def colon_decomposition(
     yields one summand per neighbor t:
 
         ring_t = V minus N(neighbor_t) minus earlier neighbors,
-        J_t    = edges of G inside ring_t,
+        J_t    = I(G[ring_t]), the edge ideal of the induced subgraph,
 
     with neighbor_t itself adjoined as a free variable.  ``order`` defaults
     to ascending vertex index; the summand list depends on it, the direct sum
@@ -182,27 +186,11 @@ def colon_decomposition(
         raise ValueError("order must be a permutation of the pivot's neighborhood")
 
     full = (1 << g.num_vertices) - 1
-    ideal = edge_ideal(g)
     summands = []
     earlier = 0
     for nb in order:
         ring = full & ~g.adjacency[nb] & ~earlier & ~(1 << nb)
-        keep = list(bits(ring))
-        pos = {v: i for i, v in enumerate(keep)}
-        gens = []
-        for gen in ideal.generators:
-            if gen & ~ring == 0:
-                reindexed = 0
-                for v in bits(gen):
-                    reindexed |= 1 << pos[v]
-                gens.append(reindexed)
-        summands.append(
-            ColonSummand(
-                ring_vars=ring,
-                ideal=MonomialIdeal.create(len(keep), gens),
-                adjoined_var=nb,
-            )
-        )
+        summands.append(ColonSummand(ring, edge_ideal(induced_subgraph(g, ring)), nb))
         earlier |= 1 << nb
     return summands
 

@@ -1,5 +1,7 @@
 """Closed-form invariants: branch selection, bounds shapes and internal consistency."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 
@@ -104,20 +106,44 @@ def test_cubic_general_ab_consistency():
             assert r.depth.value + r.pdim.value == 2 * n
 
 
-def test_cubic_general_matches_per_copy_composition():
-    from math import gcd
+def test_cubic_general_matches_paper_closed_forms():
+    # the paper's four general closed forms as integer arithmetic of their
+    # own, apart from the split the program takes from CubicCirculantSpec
+    def ceil(x, y):
+        return -(-x // y)
 
-    for n in range(2, 11):
+    for n in range(2, 301):
         for a in range(1, n):
             t = gcd(2 * n, a)
             m = 2 * n // t
-            r = cubic_general_invariants(n, a)
             if m % 2 == 0:
-                per = cubic_connected_invariants(1, n // t)
-                assert r.depth.value == t * per.depth.value
+                want = ceil(n, 2 * t) * t if (n // t) % 4 == 1 else ceil(n - t, 2 * t) * t
+            elif m % 4 == 1:
+                want = ceil(2 * n - t, 2 * t) * (t // 2)
             else:
-                per = cubic_connected_invariants(2, m)
-                assert r.depth.value == (t // 2) * per.depth.value
+                want = ceil(n, t) * (t // 2)
+            assert cubic_general_invariants(n, a).depth.value == want, (n, a)
+
+
+@pytest.mark.parametrize(
+    "n, a, source",
+    [
+        (5, 1, "cubic n=5,a=1 [t=1, 2n/t even, (n/t)%4=1]: depth=ceil(n/2t)*t=3; "
+               "sdepth from the connected form"),
+        (4, 1, "cubic n=4,a=1 [t=1, 2n/t even, (n/t)%4=0]: depth=ceil((n-t)/2t)*t=2; "
+               "sdepth from the connected form"),
+        (5, 2, "cubic n=5,a=2 [t=2, 2n/t odd, (2n/t)%4=1]: "
+               "depth=ceil((2n-t)/2t)*(t/2)=2; sdepth from the connected form"),
+        (3, 2, "cubic n=3,a=2 [t=2, 2n/t odd, (2n/t)%4=3]: depth=ceil(n/t)*(t/2)=2; "
+               "sdepth from the connected form"),
+        # two copies of C_6(1,3): the sdepth is only bounded below
+        (6, 2, "cubic n=6,a=2 [t=2, 2n/t even, (n/t)%4=3]: depth=ceil((n-t)/2t)*t=2; "
+               "sdepth>=2 (depth lower bound; additivity over 2 copies)"),
+    ],
+)
+def test_cubic_general_source_strings(n, a, source):
+    # one case per branch of the four closed forms; benchmarks/ref pins these
+    assert cubic_general_invariants(n, a).source == source
 
 
 def test_bounds_lower_end_is_depth():

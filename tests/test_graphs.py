@@ -190,6 +190,18 @@ def test_induced_subgraph():
     assert sub.labels == ("x2", "x4")
 
 
+def test_cubic_split_matches_components():
+    # the split's copy count and component against the built graph
+    for n in range(2, 13):
+        for a in range(1, n):
+            spec = CubicCirculantSpec(n, a)
+            _t, _parity, copies, component = spec.split()
+            comps = connected_components(build_graph(spec))
+            assert len(comps) == copies, (n, a)
+            model = build_graph(component)
+            assert all(is_isomorphic(model, comp) for _, comp in comps), (n, a)
+
+
 def test_davis_domke_examples():
     rep = davis_domke_decompose(4, 2)
     assert (rep.t, rep.parity, rep.copy_count) == (2, "even", 2)

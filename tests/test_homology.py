@@ -17,6 +17,7 @@ from circdepth.graphs import (
     LadderSpec,
     PathSpec,
     StarSpec,
+    bits,
     build_graph,
     disjoint_union,
     find_isomorphism,
@@ -37,7 +38,6 @@ from circdepth.homology import (
     _HochsterSum,
     _fold_pair,
     _homology_from_faces,
-    _independence_faces_by_size,
     _rank_mod_p,
     _simplicial,
     hochster_betti_table,
@@ -59,11 +59,9 @@ def _reduced_homology(faces_by_dim, field):
     _homology_from_faces: faces_by_dim[k] lists the k-dimensional faces as
     vertex lists, the empty face is implicit, and position s of the result is
     dim H~_{s-1}, padded with zeros to the top dimension."""
-    faces_by_size = [[0]] + [
-        [sum(1 << v for v in face) for face in faces] for faces in faces_by_dim
-    ]
-    h = _homology_from_faces(faces_by_size, field)
-    return h + [0] * (len(faces_by_size) - len(h))
+    faces = [0] + [sum(1 << v for v in face) for fs in faces_by_dim for face in fs]
+    h = dict(_homology_from_faces(faces, field))
+    return [h.get(s, 0) for s in range(len(faces_by_dim) + 1)]
 
 
 def test_two_points():
@@ -221,6 +219,30 @@ def test_table_entry_shape():
             assert j >= i
 
 
+def _independence_faces_by_size(adjacency, mask):
+    """Independent subsets of ``mask`` in order of size, from the empty set.
+
+    A recursion of its own, apart from ideals.standard_supports, which the
+    oracle reads its faces from, so the reference below stays independent of
+    the oracle's walk."""
+    verts = list(bits(mask))
+    faces = [[0]]
+
+    def extend(start, cur, size, banned):
+        for idx in range(start, len(verts)):
+            v = verts[idx]
+            if (banned >> v) & 1:
+                continue
+            new = cur | (1 << v)
+            if size + 1 == len(faces):
+                faces.append([])
+            faces[size + 1].append(new)
+            extend(idx + 1, new, size + 1, banned | adjacency[v])
+
+    extend(0, 0, 0, 0)
+    return [face for by_size in faces for face in by_size]
+
+
 def _hochster_reference(g, fields):
     """Reference Betti tables, one per field: Hochster's sum over every vertex
     subset, taking the homology of each whole induced independence complex (no
@@ -231,9 +253,8 @@ def _hochster_reference(g, fields):
         j = mask.bit_count()
         faces = _independence_faces_by_size(g.adjacency, mask)
         for field in fields:
-            for s, dim in enumerate(_homology_from_faces(faces, field)):
-                if dim:
-                    beta[field][(j - s, j)] = beta[field].get((j - s, j), 0) + dim
+            for s, dim in _homology_from_faces(faces, field):
+                beta[field][(j - s, j)] = beta[field].get((j - s, j), 0) + dim
     return {field: BettiTable.from_dict(g.num_vertices, beta[field]) for field in fields}
 
 
@@ -392,7 +413,7 @@ def test_simplicial_vertex_brute_force(g, data, field):
         for s, dim in _face_homology(adj, mask & ~(adj[w] | 1 << w), field).items():
             wedge[s + 1] = wedge.get(s + 1, 0) + dim
     assert wedge == _face_homology(adj, mask, field)
-    assert dict(_HochsterSum(adj, field).induced_homology(mask)) == wedge
+    assert dict(_HochsterSum(g, field).induced_homology(mask)) == wedge
 
 
 def _with_dominating_vertex(core, at, extra):
@@ -443,8 +464,7 @@ def test_vertex_split_matches_plain_hochster_sum(g, rng):
 
 def _face_homology(adjacency, mask, field):
     """{s: dim H~_{s-1}} of Ind(G[mask]) from its faces, zero dims dropped."""
-    h = _homology_from_faces(_independence_faces_by_size(adjacency, mask), field)
-    return {s: dim for s, dim in enumerate(h) if dim}
+    return dict(_homology_from_faces(_independence_faces_by_size(adjacency, mask), field))
 
 
 @given(_small_graphs, st.data(), st.sampled_from((GF2, FieldSpec(3), RATIONALS)))
@@ -469,7 +489,7 @@ def test_vertex_split_brute_force(g, data, field):
         for s, dim in a.items():
             got[s + 1] = got.get(s + 1, 0) + dim
         assert got == want
-    split = _HochsterSum(adj, field)._vertex_split(mask)
+    split = _HochsterSum(g, field)._vertex_split(mask)
     if splits:
         assert dict(split) == want
     else:
@@ -485,18 +505,19 @@ def test_vertex_split_falls_back_to_faces(monkeypatch):
     fields = (GF2, FieldSpec(3), RATIONALS)
     want = _hochster_reference(g, fields)
     calls = []
-    real = hom._independence_faces_by_size
+    real = hom._homology_from_faces
 
-    def counted(adjacency, mask):
-        calls.append(mask)
-        return real(adjacency, mask)
+    def counted(faces, field):
+        calls.append(sorted(faces))
+        return real(faces, field)
 
-    monkeypatch.setattr(hom, "_independence_faces_by_size", counted)
+    monkeypatch.setattr(hom, "_homology_from_faces", counted)
     for field in fields:
-        assert _HochsterSum(g.adjacency, field)._vertex_split(full) is None
+        assert _HochsterSum(g, field)._vertex_split(full) is None
         calls.clear()
         assert hochster_betti_table(g, field) == want[field]
-        assert calls == [full]
+        # one face-route call, on the independent sets of the whole graph
+        assert calls == [sorted(_independence_faces_by_size(g.adjacency, full))]
 
 
 @given(_small_graphs, st.randoms(use_true_random=False))
@@ -592,13 +613,13 @@ def test_fold_reduction_bounds_face_enumerations(monkeypatch):
     import circdepth.homology as hom
 
     calls = []
-    real = hom._independence_faces_by_size
+    real = hom._homology_from_faces
 
-    def counted(adjacency, mask):
-        calls.append(mask)
-        return real(adjacency, mask)
+    def counted(faces, field):
+        calls.append(faces)
+        return real(faces, field)
 
-    monkeypatch.setattr(hom, "_independence_faces_by_size", counted)
+    monkeypatch.setattr(hom, "_homology_from_faces", counted)
     hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
     assert calls == []
 
@@ -611,18 +632,18 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
 
     counts = {"isolated": 0, "faces": 0}
     real_isolated = hom._simplicial
-    real_faces = hom._independence_faces_by_size
+    real_faces = hom._homology_from_faces
 
     def isolated(adjacency, mask):
         counts["isolated"] += 1
         return real_isolated(adjacency, mask)
 
-    def faces(adjacency, mask):
+    def faces(faces, field):
         counts["faces"] += 1
-        return real_faces(adjacency, mask)
+        return real_faces(faces, field)
 
     monkeypatch.setattr(hom, "_simplicial", isolated)
-    monkeypatch.setattr(hom, "_independence_faces_by_size", faces)
+    monkeypatch.setattr(hom, "_homology_from_faces", faces)
     hochster_betti_table(build_graph(CubicCirculantSpec(6, 1)), GF2)
     assert 0 < counts["isolated"] <= 2000
     assert counts["faces"] == 0  # the vertex split settles every component
@@ -658,7 +679,7 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
     ],
 )
 def test_leaf_splitting_counts(monkeypatch, text, connected_sets, faces):
-    counts = {"_connected_sets": 0, "_independence_faces_by_size": 0}
+    counts = {"_connected_sets": 0, "_homology_from_faces": 0}
 
     def counted(name):
         real = getattr(hom, name)
@@ -673,7 +694,7 @@ def test_leaf_splitting_counts(monkeypatch, text, connected_sets, faces):
         monkeypatch.setattr(hom, name, counted(name))
     hochster_betti_table(build_graph(parse_graph_spec(text)), GF2)
     assert counts["_connected_sets"] == connected_sets
-    assert counts["_independence_faces_by_size"] == faces
+    assert counts["_homology_from_faces"] == faces
 
 
 @pytest.mark.parametrize(
