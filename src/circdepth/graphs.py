@@ -601,23 +601,51 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact isomorphism (degree-partition refinement + backtracking)
+# Exact isomorphism (colour refinement on class bitmasks + backtracking)
 # ---------------------------------------------------------------------------
 
 
-def _refined_colors(g: Graph) -> tuple[int, ...]:
-    """Stable vertex coloring under iterated neighbor-color refinement."""
-    colors = [g.degree(v) for v in range(g.num_vertices)]
+def _refined_classes(g: Graph) -> list[int]:
+    """Colour classes of the stable refinement, as vertex bitmasks in colour order.
+
+    The classes start as the degree classes, in increasing degree.  A round
+    gives each vertex the signature (its colour, its neighbour count in each
+    class), ``(adjacency & class_mask).bit_count()``, which carries the same
+    information as the sorted multiset of its neighbours' colours; the new
+    classes are the distinct signatures in sorted order.  The partition only
+    ever splits, so the rounds stop as soon as the number of classes stops
+    growing.
+    """
+    adj = g.adjacency
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = [by_degree[d] for d in sorted(by_degree)]
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(g.adjacency[v]))))
-            for v in range(g.num_vertices)
-        ]
-        relabel = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [relabel[sig] for sig in sigs]
-        if new == colors:
-            return tuple(new)
-        colors = new
+        split: dict[tuple[int, tuple[int, ...]], int] = {}
+        for c, mask in enumerate(classes):
+            for v in bits(mask):
+                row = adj[v]
+                sig = (c, tuple((row & m).bit_count() for m in classes))
+                split[sig] = split.get(sig, 0) | 1 << v
+        if len(split) == len(classes):
+            return classes
+        classes = [split[sig] for sig in sorted(split)]
+
+
+def _refined_colors(g: Graph) -> tuple[int, ...]:
+    """Stable vertex colouring under iterated neighbour-colour refinement.
+
+    Vertex v gets the index of its class in _refined_classes(g).  The
+    colouring is an isomorphism invariant, so isomorphic graphs give equal
+    sorted colourings.
+    """
+    colors = [0] * g.num_vertices
+    for c, mask in enumerate(_refined_classes(g)):
+        for v in bits(mask):
+            colors[v] = c
+    return tuple(colors)
 
 
 def _check_iso_size(num_vertices: int) -> None:
@@ -631,7 +659,15 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """Edge-preserving bijection as a tuple mapping g-vertex -> h-vertex, or None.
 
     Exact deterministic backtracking; both graphs must have at most
-    MAX_ISO_VERTICES vertices.
+    MAX_ISO_VERTICES vertices.  Both graphs are refined into colour classes
+    (bitmasks, see _refined_classes) and a g-vertex may only map into the h
+    class of its own colour.  The g-vertices are placed in a fixed order:
+    next is an unplaced vertex touching the placed region (any unplaced
+    vertex if none does), from the smallest class, then of the lowest index.
+    Each is tried on the unused h-vertices of its class that are adjacent to
+    the images of all its placed neighbours, in ascending order, and kept
+    when its edges to the used h-vertices are exactly those images.  The
+    mapping returned is the first complete one in that order.
     """
     n = g.num_vertices
     _check_iso_size(max(n, h.num_vertices))
@@ -640,58 +676,67 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     if g.degree_sequence() != h.degree_sequence():
         return None
 
-    gc = _refined_colors(g)
-    hc = _refined_colors(h)
-    if sorted(gc) != sorted(hc):
+    g_classes = _refined_classes(g)
+    h_classes = _refined_classes(h)
+    sizes = [mask.bit_count() for mask in g_classes]
+    if sizes != [mask.bit_count() for mask in h_classes]:
         return None
 
-    h_by_color: dict[int, list[int]] = {}
-    for w in range(n):
-        h_by_color.setdefault(hc[w], []).append(w)
-
-    # Assign g-vertices so each new one touches the already-assigned region
-    # when possible; that keeps the adjacency constraint binding early.
-    order: list[int] = []
-    placed = 0
-    while len(order) < n:
-        cand = [
-            v for v in range(n)
-            if not (placed >> v) & 1 and (g.adjacency[v] & placed or not order)
-        ]
-        if not cand:
-            cand = [v for v in range(n) if not (placed >> v) & 1]
-        v = min(cand, key=lambda v: (len(h_by_color[gc[v]]), v))
-        order.append(v)
+    # One level per g-vertex in search order: the vertex, the h class it may
+    # map into, and its neighbours placed before it.
+    levels: list[tuple[int, int, list[int]]] = []
+    full = (1 << n) - 1
+    placed = reach = 0  # reach: the neighbours of the placed region
+    while placed != full:
+        unplaced = full ^ placed
+        frontier = reach & unplaced or unplaced
+        _, v, colour = min(
+            (sizes[c], (m & -m).bit_length() - 1, c)
+            for c, mask in enumerate(g_classes)
+            if (m := frontier & mask)
+        )
+        levels.append((v, h_classes[colour], list(bits(g.adjacency[v] & placed))))
         placed |= 1 << v
+        reach |= g.adjacency[v]
 
+    h_adj = h.adjacency
     mapping = [-1] * n
+    cands = [0] * n  # untried candidates per level, as an h-vertex bitmask
+    images = [0] * n  # images of the placed neighbours per level
     used = 0
-
-    def extend(idx: int) -> bool:
-        nonlocal used
-        if idx == n:
-            return True
-        v = order[idx]
-        image_adj = 0
-        for u in bits(g.adjacency[v]):
-            if mapping[u] >= 0:
-                image_adj |= 1 << mapping[u]
-        for w in h_by_color[gc[v]]:
-            if (used >> w) & 1:
-                continue
-            if h.adjacency[w] & used != image_adj:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            if extend(idx + 1):
-                return True
-            mapping[v] = -1
-            used &= ~(1 << w)
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    idx = 0
+    if n:
+        cands[0] = levels[0][1]  # the first vertex has no placed neighbour
+    while idx < n:
+        v, _, _ = levels[idx]
+        c = cands[idx]
+        image = images[idx]
+        while c:
+            low = c & -c
+            c ^= low
+            if h_adj[low.bit_length() - 1] & used == image:
+                break
+        else:  # level exhausted: undo the previous level's choice
+            idx -= 1
+            if idx < 0:
+                return None
+            used ^= 1 << mapping[levels[idx][0]]
+            continue
+        cands[idx] = c
+        mapping[v] = low.bit_length() - 1
+        used |= low
+        idx += 1
+        if idx < n:  # enter the next level
+            _, cls, earlier = levels[idx]
+            c = cls & ~used
+            image = 0
+            for u in earlier:
+                w = mapping[u]
+                image |= 1 << w
+                c &= h_adj[w]
+            cands[idx] = c
+            images[idx] = image
+    return tuple(mapping)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -469,23 +469,30 @@ def oracle_invariants(g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
 class OracleMemo:
     """oracle_invariants that answers each isomorphism class once.
 
-    A stored report is returned for ``g`` only after find_isomorphism maps
-    the graph it was computed on onto ``g``, over the same field.  Graphs are
-    bucketed by an isomorphism invariant (field, vertex and edge counts, the
-    sorted refined colouring), so a bucket holds only candidates and a poor
-    key can cost a miss, never a wrong answer.
+    A graph whose adjacency tuple equals that of a graph already asked about,
+    over the same field, gets the stored report at once: the identity maps
+    one onto the other.  Any other graph gets a stored report only after
+    find_isomorphism maps the graph it was computed on onto ``g``.  Those
+    candidates are bucketed by an isomorphism invariant (field, vertex and
+    edge counts, the sorted refined colouring), so a bucket holds only
+    candidates and a poor key can cost a miss, never a wrong answer.
     """
 
     def __init__(self) -> None:
+        self._exact: dict[tuple[FieldSpec, tuple[int, ...]], InvariantReport] = {}
         self._buckets: dict[tuple, list[tuple[Graph, InvariantReport]]] = {}
 
     def invariants(self, g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
+        exact = (field, g.adjacency)
+        if exact in self._exact:
+            return self._exact[exact]
         key = (field, g.num_vertices, g.edge_count, tuple(sorted(_refined_colors(g))))
         bucket = self._buckets.setdefault(key, [])
         for h, report in bucket:
             if find_isomorphism(h, g) is not None:
-                return report
-        report = oracle_invariants(g, field)
-        bucket.append((g, report))
+                break
+        else:
+            report = oracle_invariants(g, field)
+            bucket.append((g, report))
+        self._exact[exact] = report
         return report
-

@@ -161,14 +161,16 @@ def counting_bound(poset: CharPoset) -> int:
     return 0
 
 
-def _prefix_bitsets(poset: CharPoset, k: int) -> tuple[list[int], list[int]]:
-    """Subset and superset bitsets of the elements of rank <= k.
+def _prefix_bitsets(poset: CharPoset, k: int) -> tuple[list[int], list[int]] | None:
+    """Subset and superset bitsets of the elements of rank <= k, or None.
 
     Those elements are a prefix of ``poset.elements``.  One forward pass
     over lower covers gives down[i], the indices of the subsets of element
-    i; one backward pass along the same covers gives up[i], the indices of
-    its supersets within the prefix.  Elements above rank k are never
-    touched.
+    i.  When the down[] of the rank-k elements, the last ones, miss some
+    element, that element lies under no element of rank k and no interval
+    can hold it: the answer is None, before the backward pass.  Otherwise
+    one backward pass along the same covers gives up[i], the indices of its
+    supersets within the prefix.  Elements above rank k are never touched.
     """
     size = sum(poset.rank_counts[: k + 1])
     prefix = poset.elements[:size]
@@ -185,6 +187,11 @@ def _prefix_bitsets(poset: CharPoset, k: int) -> tuple[list[int], list[int]]:
             cells |= down[j]
         covers.append(below)
         down.append(cells)
+    under_tops = 0
+    for cells in down[size - poset.rank_counts[k]:]:
+        under_tops |= cells
+    if under_tops != (1 << size) - 1:
+        return None
     up = [1 << i for i in range(size)]
     for i in range(size - 1, -1, -1):
         above = up[i]
@@ -228,11 +235,12 @@ def find_partition(
     elements = poset.elements
     if k > poset.max_rank:
         return None
-    down, up = _prefix_bitsets(poset, k)
+    bitsets = _prefix_bitsets(poset, k)
+    if bitsets is None:
+        return None  # some element lies under no element of rank k
+    down, up = bitsets
     blocks = poset._rank_blocks
     tops = blocks[k]
-    if not all(above & tops for above in up):
-        return None  # some element lies under no element of rank k
     size = len(up)
     # fits[i]: cell bitsets of the intervals over element i, filled on demand;
     # an interval's top is its highest-index cell

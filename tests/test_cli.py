@@ -521,6 +521,29 @@ def test_verify_paper_runs_the_oracle_once_per_isomorphism_class(capsys, monkeyp
         assert len(calls) == 41
 
 
+def test_verify_paper_memo_counts(capsys, monkeypatch):
+    # of the 88 memo requests at --max-n 5, 41 compute.  42 of the 47 hits
+    # repeat an adjacency tuple already asked about and need no search; 5
+    # are found by find_isomorphism, which runs 11 times in all
+    counts = {"requests": 0, "oracle": 0, "search": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(homology.OracleMemo, "invariants",
+                        counted("requests", homology.OracleMemo.invariants))
+    monkeypatch.setattr(homology, "oracle_invariants",
+                        counted("oracle", homology.oracle_invariants))
+    monkeypatch.setattr(homology, "find_isomorphism",
+                        counted("search", homology.find_isomorphism))
+    code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "5", "--format", "csv")
+    assert code == 0
+    assert counts == {"requests": 88, "oracle": 41, "search": 11}
+
+
 def test_invariants_never_reuses_an_oracle_answer(capsys, monkeypatch):
     calls = _count_oracle_runs(monkeypatch)
     argv = ["invariants", "--graph", "cubic:5:1", "--method", "oracle", "--format", "json"]

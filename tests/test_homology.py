@@ -578,6 +578,35 @@ def test_oracle_memo_computes_each_class_in_a_shared_bucket(monkeypatch, first, 
     assert len(calls) == 2
 
 
+def test_oracle_memo_hits_equal_adjacency_without_a_search(monkeypatch):
+    # C_6 and two triangles share a bucket key but are not isomorphic; a
+    # relabeled C_6 needs one search, a repeated adjacency tuple none
+    c6 = build_graph(CycleSpec(6))
+    relabeled = graph_from_edges(
+        list(c6.labels), [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)]
+    )
+    triangles = build_graph(parse_graph_spec("union:(cycle:3;cycle:3)"))
+    assert relabeled.adjacency != c6.adjacency
+    want = oracle_invariants(triangles, GF2)
+    calls = _counting_oracle(monkeypatch)
+    searches = []
+    real = hom.find_isomorphism
+
+    def counted(g, h):
+        searches.append(h)
+        return real(g, h)
+
+    monkeypatch.setattr(hom, "find_isomorphism", counted)
+    memo = OracleMemo()
+    first = memo.invariants(c6, GF2)
+    assert memo.invariants(c6, GF2) == first and searches == []
+    assert memo.invariants(relabeled, GF2) == first and searches == [relabeled]
+    assert memo.invariants(relabeled, GF2) == first and len(searches) == 1
+    assert memo.invariants(triangles, GF2) == want
+    assert searches == [relabeled, triangles] and len(memo._buckets) == 1
+    assert calls == [(c6, GF2), (triangles, GF2)]
+
+
 def test_oracle_memo_keeps_fields_apart(monkeypatch):
     g = build_graph(CubicCirculantSpec(4, 1))
     calls = _counting_oracle(monkeypatch)

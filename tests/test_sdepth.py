@@ -439,7 +439,8 @@ def test_find_partition_builds_only_the_rank_k_prefix(monkeypatch):
     """A small k on a large poset builds bitsets for the rank <= k prefix only.
 
     For k = 2 the center of the star lies under no element of rank 2, so
-    the decision fails before the search lists a single interval.
+    the prefix build refuses k after its forward pass, before the superset
+    bitsets and before the search lists a single interval.
     """
     built = _record(monkeypatch, "_prefix_bitsets")
     options = _record(monkeypatch, "_interval_options")
@@ -449,7 +450,7 @@ def test_find_partition_builds_only_the_rank_k_prefix(monkeypatch):
     assert [(len(down), len(up)) for down, up in built] == [(14, 14)]
     options.clear()
     assert find_partition(poset, 2) is None
-    assert len(built[-1][1]) == 1 + 13 + 66 and options == []
+    assert built[-1] is None and options == []
 
 
 @given(_small_ideals)
@@ -460,11 +461,17 @@ def test_interval_options_match_interval_cells(ideal):
     for k in range(poset.max_rank + 1):
         prefix = poset.elements[: sum(poset.rank_counts[: k + 1])]
         index = {m: i for i, m in enumerate(prefix)}
-        down, up = sdepth._prefix_bitsets(poset, k)
-        assert len(down) == len(up) == len(prefix)
         tops = poset._rank_blocks[k]
         rank_k = prefix[len(prefix) - poset.rank_counts[k]:]
         assert all(top.bit_count() == k for top in rank_k)
+        # None exactly when some element lies under no element of rank k
+        bitsets = sdepth._prefix_bitsets(poset, k)
+        stranded = [m for m in prefix if not any(top & m == m for top in rank_k)]
+        assert (bitsets is None) == bool(stranded), (k, stranded)
+        if bitsets is None:
+            continue
+        down, up = bitsets
+        assert len(down) == len(up) == len(prefix)
         for i, bottom in enumerate(prefix):
             want = [
                 sum(1 << index[c] for c in sdepth._interval_cells(bottom, top))
