@@ -30,11 +30,20 @@ complex of H, and N[w] is w with its neighbours.
   * faces: a connected induced subgraph that no rule reduces has its
     independent sets, the standard supports of its edge ideal
     (ideals.standard_supports), enumerated and its homology read off
-    boundary ranks.
+    boundary ranks,
+  * rotation: if i -> i+1 (mod q) is an automorphism of G, as on every
+    circulant with its native labels, it moves each vertex to the next one
+    and keeps the homology of every induced subgraph, so every vertex lies
+    in the same number of j-subsets sigma with a given homology.  Let
+    Z_j(U) sum that homology over the j-subsets of U.  Counting the pairs
+    (v, sigma) with v in sigma once by sigma and once by v gives
+    j Z_j(V) = q (Z_j(V) - Z_j(V - 0)), so Z_j(V) = q Z_j(V - 0) / (q - j)
+    for j < q, and Z_q(V) is the homology of G itself.
 
 The simplicial and fold rules run at both levels: in the sum over subsets
 (_HochsterSum.subset_sum) and in the homology of one induced subgraph
 (_HochsterSum.induced_homology).  Both levels are memoised for one table.
+The rotation rule runs once, at the top of the sum (_HochsterSum.rotation_sum).
 """
 
 from __future__ import annotations
@@ -265,6 +274,20 @@ def _fold_pair(adjacency: Sequence[int], mask: int) -> tuple[int, int] | None:
     return None
 
 
+def _rotation_invariant(adjacency: Sequence[int]) -> bool:
+    """True when i -> i+1 (mod q) maps the graph onto itself.
+
+    That holds when each N(i + 1) is N(i) rotated by one place, which is one
+    cyclic shift of the bitset per vertex.
+    """
+    q = len(adjacency)
+    full = (1 << q) - 1
+    return all(
+        adjacency[(i + 1) % q] == (nbr << 1 & full) | nbr >> (q - 1)
+        for i, nbr in enumerate(adjacency)
+    )
+
+
 def _connected_sets(
     adjacency: Sequence[int], low: int, within: int
 ) -> Iterator[tuple[int, int]]:
@@ -379,6 +402,26 @@ class _HochsterSum:
             self.sums[within] = z
         return z
 
+    def rotation_sum(self) -> SubsetSum:
+        """Z(V) of a graph that i -> i+1 (mod q) maps onto itself, q >= 1.
+
+        By the rotation rule of the module docstring the terms of size
+        j < q are q/(q - j) times those of Z(V - 0), and the terms of size q
+        are the homology of G.  Each division must be exact.
+        """
+        q = self.graph.num_vertices
+        full = (1 << q) - 1
+        z: SubsetSum = {}
+        for (j, s), mult in self.subset_sum(full ^ 1).items():
+            z[(j, s)], rest = divmod(q * mult, q - j)
+            if rest:
+                raise ArithmeticError(
+                    f"rotation rule: {q} * {mult} is not divisible by {q - j}"
+                )
+        for s, dim in self.induced_homology(full):
+            z[(q, s)] = dim
+        return z
+
     def induced_homology(self, mask: int) -> Homology:
         """Reduced homology of Ind(G[mask]).
 
@@ -439,8 +482,10 @@ def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:
 
     The table is Z(V) of _HochsterSum, whose recurrence visits connected
     vertex sets rather than all 2^q subsets; Z counts the empty subset as
-    beta_{0,0} = 1.  Graphs above ORACLE_VERTEX_CAP vertices are refused
-    (use the closed-form route for family members instead).
+    beta_{0,0} = 1.  When i -> i+1 (mod q) is an automorphism, Z(V) comes
+    from Z(V - 0) by the rotation rule.  Graphs above ORACLE_VERTEX_CAP
+    vertices are refused (use the closed-form route for family members
+    instead).
     """
     q = g.num_vertices
     if q > ORACLE_VERTEX_CAP:
@@ -448,7 +493,11 @@ def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:
             f"{q} vertices exceeds the oracle cap of {ORACLE_VERTEX_CAP}; "
             "closed-form family values remain available"
         )
-    z = _HochsterSum(g, field).subset_sum((1 << q) - 1)
+    oracle = _HochsterSum(g, field)
+    if q and _rotation_invariant(g.adjacency):
+        z = oracle.rotation_sum()
+    else:
+        z = oracle.subset_sum((1 << q) - 1)
     beta = {(j - s, j): mult for (j, s), mult in z.items()}
     return BettiTable.from_dict(q, beta)
 

@@ -39,6 +39,7 @@ from circdepth.homology import (
     _fold_pair,
     _homology_from_faces,
     _rank_mod_p,
+    _rotation_invariant,
     _simplicial,
     hochster_betti_table,
     oracle_invariants,
@@ -684,18 +685,20 @@ def test_component_transfer_bounds_isolated_checks(monkeypatch):
         ("path:13", 0, 0),
         ("star:8", 0, 0),
         ("union:(path:5;star:4)", 0, 0),
-        # the whole cycle has no leaf and no fold pair, so it is one connected
-        # set, which the vertex split settles; every proper subset is a forest
-        ("cycle:12", 1, 0),
-        ("cycle:13", 1, 0),
-        # cubic circulants: the fold-free vertex sets list connected sets,
-        # and the vertex split settles each of them without faces
-        ("cubic:6:1", 7, 0),
-        ("cubic:10:1", 46, 0),
+        # a cycle takes the rotation rule, which sums V - 0, a path, so the
+        # whole cycle, the one set without a leaf, lists no connected set
+        ("cycle:12", 0, 0),
+        ("cycle:13", 0, 0),
+        # cubic circulants take the rotation rule, so the whole vertex set
+        # lists no connected set; the fold-free vertex sets below it do, and
+        # the vertex split settles each of them without faces
+        ("cubic:6:1", 6, 0),
+        ("cubic:10:1", 45, 0),
         # the complement of C_4 + C_4: at every vertex the two sides of the
-        # split have homology in the same index, so its faces are enumerated;
-        # every proper subset has a simplicial vertex or a fold pair
-        ("circulant:8:1,3,4", 1, 1),
+        # split have homology in the same index, so the rotation rule's top
+        # term, the homology of the whole graph, enumerates its faces; every
+        # proper subset has a simplicial vertex or a fold pair
+        ("circulant:8:1,3,4", 0, 1),
         # K_q: every vertex is simplicial, and C_12(3,6), three copies of
         # C_4(1,2) = K_4, is made of cliques
         ("complete:16", 0, 0),
@@ -724,6 +727,106 @@ def test_leaf_splitting_counts(monkeypatch, text, connected_sets, faces):
     hochster_betti_table(build_graph(parse_graph_spec(text)), GF2)
     assert counts["_connected_sets"] == connected_sets
     assert counts["_homology_from_faces"] == faces
+
+
+def _spy_connected_sets(mp):
+    """Patch _connected_sets to record the ``within`` of each call and count
+    the sets it yields; returns (withins, yielded)."""
+    withins, yielded = [], [0]
+    real = hom._connected_sets
+
+    def spied(adjacency, low, within):
+        withins.append(within)
+        for item in real(adjacency, low, within):
+            yielded[0] += 1
+            yield item
+
+    mp.setattr(hom, "_connected_sets", spied)
+    return withins, yielded
+
+
+def _table_from_sum(q, z):
+    return BettiTable.from_dict(q, {(j - s, j): mult for (j, s), mult in z.items()})
+
+
+@pytest.mark.parametrize("text, yielded", [("cubic:6:1", 141), ("cubic:10:1", 3330)])
+def test_rotation_rule_connected_set_counts(monkeypatch, text, yielded):
+    # the rotation rule sums V - 0 instead of V, so the connected sets through
+    # vertex 0 of the whole vertex set, 850 and 50,189 of the 991 and 53,519
+    # that the sum over V yields, are never listed
+    g = build_graph(parse_graph_spec(text))
+    withins, count = _spy_connected_sets(monkeypatch)
+    hochster_betti_table(g, GF2)
+    assert (1 << g.num_vertices) - 1 not in withins
+    assert count == [yielded]
+
+
+_small_circulants = [
+    CirculantSpec(q, shifts)
+    for q in range(2, 13)
+    for r in range(1, q // 2 + 1)
+    for shifts in combinations(range(1, q // 2 + 1), r)
+]
+
+
+@pytest.mark.parametrize("spec", _small_circulants, ids=lambda spec: spec.to_string())
+def test_rotation_rule_matches_the_full_sum_on_circulants(spec):
+    # every circulant C_q(S) with q <= 12 takes the rotation rule with its
+    # native labels; the table must be the one the sum over the whole vertex
+    # set gives, and the plain Hochster sum's for q <= 9
+    g = build_graph(spec)
+    assert _rotation_invariant(g.adjacency)
+    full = (1 << g.num_vertices) - 1
+    fields = (GF2, FieldSpec(3), RATIONALS)
+    want = _hochster_reference(g, fields) if spec.q <= 9 else {}
+    for field in fields:
+        got = hochster_betti_table(g, field)
+        assert got == _table_from_sum(spec.q, _HochsterSum(g, field).subset_sum(full))
+        assert got == want.get(field, got)
+
+
+def _without_edge(g, edge):
+    return graph_from_edges(g.labels, [e for e in g.edges() if e != edge])
+
+
+@pytest.mark.parametrize(
+    "g, lists_whole_set",
+    [
+        (_without_edge(build_graph(CirculantSpec(12, (1, 6))), (0, 1)), False),
+        # a corner of a ladder and its diagonal vertex are a fold pair, so
+        # the sum over the whole vertex set lists no connected set
+        (build_graph(LadderSpec("A", 6)), False),
+        (build_graph(LadderSpec("C", 5)), False),
+        (build_graph(parse_graph_spec("union:(cycle:6;cycle:6)")), True),
+        (_relabeled(build_graph(CirculantSpec(16, (1, 8))), random.Random(16)), True),
+    ],
+    ids=["C12(1,6)-edge", "ladderA:6", "ladderC:5", "union-cycles", "C16(1,8)-relabeled"],
+)
+def test_rotation_rule_near_misses_take_the_full_sum(monkeypatch, g, lists_whole_set):
+    # graphs that i -> i+1 does not preserve go through the sum over the
+    # whole vertex set: the same connected sets, in the same order, as
+    # subset_sum(V) lists, and the same table
+    assert not _rotation_invariant(g.adjacency)
+    full = (1 << g.num_vertices) - 1
+    withins, _count = _spy_connected_sets(monkeypatch)
+    for field in (GF2, RATIONALS):
+        withins.clear()
+        got = hochster_betti_table(g, field)
+        took = list(withins)
+        withins.clear()
+        assert got == _table_from_sum(g.num_vertices, _HochsterSum(g, field).subset_sum(full))
+        assert took == withins
+        assert (full in took) == lists_whole_set
+
+
+def test_rotation_rule_refuses_an_inexact_division(monkeypatch):
+    # on the path 0-1-2 plus two isolated vertices, V - 0 holds one edge and
+    # Z_2(V - 0) = 1, so the rule would need 5 * 1 / 3; a graph that failed
+    # the automorphism check must raise there, never round
+    g = graph_from_edges([f"v{i+1}" for i in range(5)], [(0, 1), (1, 2)])
+    monkeypatch.setattr(hom, "_rotation_invariant", lambda adjacency: True)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        hochster_betti_table(g, GF2)
 
 
 @pytest.mark.parametrize(
