@@ -14,11 +14,7 @@ from .formulas import (
     FormulaReport,
     FormulaUnavailable,
     FormulaValue,
-    base_family_invariants,
-    cubic_connected_invariants,
-    cubic_general_invariants,
     formula_for_spec,
-    ladder_invariants,
 )
 from .graphs import (
     CirculantSpec,

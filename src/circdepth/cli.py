@@ -357,20 +357,27 @@ def _colon_cells(g, pivot, field, budget) -> dict[str, str]:
     }
 
 
-def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
-    """The table's rows, in order.
+def _verify_tasks(max_n: int, slow: bool) -> tuple[list[RowTask], list[str]]:
+    """The table's rows, in order, and a note for each row left out.
 
-    The invariant rows share one fresh oracle memo, so the run computes each
-    isomorphism class once per field and keeps nothing after it ends.
+    A row is left out when _skipped_routes refuses one of its routes; its
+    note names the row and gives the reasons.  The invariant rows share one
+    fresh oracle memo, so the run computes each isomorphism class once per
+    field and keeps nothing after it ends.
     """
     tasks: list[RowTask] = []
+    notes: list[str] = []
     memo = OracleMemo()
 
     def add(family: str, text: str, routes=ORACLE_ROUTES, params: str = "") -> None:
         spec = parse_graph_spec(text)
-        if not _skipped_routes(spec.num_vertices, routes, slow):
+        params = params or spec.params()
+        skipped = _skipped_routes(spec.num_vertices, routes, slow)
+        if skipped:
+            notes.append(f"note: {family} {params} skipped: {'; '.join(skipped.values())}")
+        else:
             check = partial(_invariant_cells, spec, routes, memo.invariants)
-            tasks.append(RowTask(family, params or spec.params(), check))
+            tasks.append(RowTask(family, params, check))
 
     for kind, low in (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)):
         for q in range(low, 8):
@@ -411,7 +418,7 @@ def _verify_tasks(max_n: int, slow: bool) -> list[RowTask]:
     for n in range(2, min(max_n, 5) + 1):
         for a in range(1, n):
             add("sdepth-cubic", f"cubic:{n}:{a}", ALL_ROUTES)
-    return tasks
+    return tasks, notes
 
 
 def _run_row(task: RowTask, field: FieldSpec, budget: float | None) -> VerificationRow:
@@ -441,7 +448,10 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         return 2
     _check_out(args.out)
     field = _FIELDS[args.field]
-    rows = [_run_row(t, field, args.budget_seconds) for t in _verify_tasks(max_n, slow)]
+    tasks, notes = _verify_tasks(max_n, slow)
+    for note in notes:
+        print(note, file=sys.stderr)
+    rows = [_run_row(t, field, args.budget_seconds) for t in tasks]
     mismatches = sum(r.verdict == "MISMATCH" for r in rows)
     errors = sum(r.verdict == "ERROR" for r in rows)
 

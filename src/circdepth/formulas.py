@@ -4,9 +4,11 @@ Every function returns exact integers or explicit bounds as pure ceiling /
 floor arithmetic; no floating point anywhere.  Each report carries a source
 tag naming the family, the branch key it selected (n mod 4, parity of 2n/t)
 and the formula, so any value can be traced to the rule that produced it.
-A general cubic circulant is read through CubicCirculantSpec.split: its
-depth is the copy count times the depth of the connected component, so the
-gcd split is computed in ``graphs`` alone.
+formula_for_spec is the one entry: it reads the spec kind and passes the
+validated spec to one private closed form.  A general cubic circulant is
+read through CubicCirculantSpec.split: its depth is the copy count times
+the depth of the connected component, so the gcd split is computed in
+``graphs`` alone.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class FormulaValue:
     @classmethod
     def exact(cls, v: int) -> "FormulaValue":
         return cls(v, v)
-
-    @classmethod
-    def bounds(cls, lo: int, hi: int) -> "FormulaValue":
-        return cls(lo, hi)
 
     @classmethod
     def at_least(cls, lo: int) -> "FormulaValue":
@@ -110,130 +108,72 @@ def _from_depth(
     )
 
 
-def base_family_invariants(
-    spec: PathSpec | CycleSpec | StarSpec | CompleteSpec,
-) -> FormulaReport:
-    """Exact values for paths, cycles, stars and complete graphs."""
-    if isinstance(spec, PathSpec):
-        q = spec.q
-        if q < 2:
-            raise FormulaUnavailable("path formula needs q >= 2")
-        d = ceil_div(q, 3)
-        return _from_depth(q, d, f"path q={q}: depth=sdepth=ceil(q/3)={d}")
-    if isinstance(spec, CycleSpec):
-        q = spec.q
-        d = ceil_div(q - 1, 3)
-        if q % 3 == 1:
-            sdepth = FormulaValue.bounds(d, ceil_div(q, 3))
-            tag = f"cycle q={q} [q%3=1]: depth=ceil((q-1)/3)={d}; sdepth in [{d},{ceil_div(q,3)}]"
-        else:
-            sdepth = FormulaValue.exact(d)
-            tag = f"cycle q={q} [q%3={q % 3}]: depth=sdepth=ceil((q-1)/3)={d}"
-        return _from_depth(q, d, tag, sdepth)
-    if isinstance(spec, (StarSpec, CompleteSpec)):
-        q = spec.q
-        if q < 2:
-            raise FormulaUnavailable("needs q >= 2")
-        return _from_depth(q, 1, f"{spec.kind} q={q}: depth=sdepth=1")
-    raise FormulaUnavailable(f"no base-family formula for {spec!r}")
+def _path(spec: PathSpec) -> FormulaReport:
+    q = spec.q
+    d = ceil_div(q, 3)
+    return _from_depth(q, d, f"path q={q}: depth=sdepth=ceil(q/3)={d}")
 
 
-def ladder_invariants(family: str, n: int) -> FormulaReport:
-    """Exact values for the ladder A_n and its supergraphs B_n, C_n, D_n.
+def _cycle(spec: CycleSpec) -> FormulaReport:
+    q = spec.q
+    d = ceil_div(q - 1, 3)
+    if q % 3 == 1:
+        sdepth = FormulaValue(d, ceil_div(q, 3))
+        tag = f"cycle q={q} [q%3=1]: depth=ceil((q-1)/3)={d}; sdepth in [{d},{ceil_div(q,3)}]"
+    else:
+        sdepth = FormulaValue.exact(d)
+        tag = f"cycle q={q} [q%3={q % 3}]: depth=sdepth=ceil((q-1)/3)={d}"
+    return _from_depth(q, d, tag, sdepth)
+
+
+def _ladder(spec: LadderSpec) -> FormulaReport:
+    """The ladder A_n and its supergraphs B_n, C_n, D_n.
 
     The closed forms below also reproduce the degenerate members (B_0 a
     point, A_1 = P_2, B_1 = P_3, C_1 = S_4, D_1 = P_4), so no special
     casing is needed.
     """
+    family, n = spec.family, spec.n
     if family == "A":
-        if n < 1:
-            raise FormulaUnavailable("ladder A needs n >= 1")
         d = ceil_div(n, 2)
         if n % 2 == 1:
             sdepth = FormulaValue.exact(d)
             stag = f"sdepth={d}"
         else:
-            sdepth = FormulaValue.bounds(d, ceil_div(n + 1, 2))
+            sdepth = FormulaValue(d, ceil_div(n + 1, 2))
             stag = f"sdepth in [{d},{ceil_div(n + 1, 2)}] (two-valued for even n)"
         # pdim = 2n - ceil(n/2) = floor(3n/2)
         source = f"ladder-A n={n}: depth=ceil(n/2)={d}; pdim=floor(3n/2); {stag}"
         return _from_depth(2 * n, d, source, sdepth)
     if family == "B":
-        if n < 0:
-            raise FormulaUnavailable("ladder B needs n >= 0")
         d = ceil_div(n + 1, 2)
         return _from_depth(2 * n + 1, d, f"ladder-B n={n}: depth=sdepth=ceil((n+1)/2)={d}")
-    if family == "C":
-        if n < 1:
-            raise FormulaUnavailable("ladder C needs n >= 1")
-        r = n % 4
-        if r in (0, 3):
-            d = ceil_div(n, 2) + 1
-            rule = "ceil(n/2)+1"
-        elif r == 1:
-            d = ceil_div(n + 1, 2)
-            rule = "ceil((n+1)/2)"
-        else:
-            d = ceil_div(n + 1, 2) + 1
-            rule = "ceil((n+1)/2)+1"
-        return _from_depth(2 * n + 2, d, f"ladder-C n={n} [n%4={r}]: depth=sdepth={rule}={d}")
-    if family == "D":
-        if n < 1:
-            raise FormulaUnavailable("ladder D needs n >= 1")
-        r = n % 4
-        if r in (0, 1):
-            d = ceil_div(n + 1, 2) + 1
-            rule = "ceil((n+1)/2)+1"
-        else:
-            d = ceil_div(n + 1, 2)
-            rule = "ceil((n+1)/2)"
-        return _from_depth(2 * n + 2, d, f"ladder-D n={n} [n%4={r}]: depth=sdepth={rule}={d}")
-    raise FormulaUnavailable(f"unknown ladder family {family!r}")
+    r = n % 4
+    if (family, r) in (("C", 0), ("C", 3)):
+        d = ceil_div(n, 2) + 1
+        rule = "ceil(n/2)+1"
+    elif (family, r) in (("C", 2), ("D", 0), ("D", 1)):
+        d = ceil_div(n + 1, 2) + 1
+        rule = "ceil((n+1)/2)+1"
+    else:
+        d = ceil_div(n + 1, 2)
+        rule = "ceil((n+1)/2)"
+    return _from_depth(
+        2 * n + 2, d, f"ladder-{family} n={n} [n%4={r}]: depth=sdepth={rule}={d}"
+    )
 
 
-def cubic_connected_invariants(chord: int, n: int) -> FormulaReport:
-    """Exact depth/pdim and sdepth values or bounds for the two connected
-    cubic circulants: chord=1 is C_{2n}(1,n) (n >= 2), chord=2 is C_{2n}(2,n)
-    (odd n >= 3; even n gives a disconnected graph, go through
-    cubic_general_invariants instead)."""
+def _cubic_connected(chord: int, n: int) -> tuple[int, FormulaValue]:
+    """Depth and Stanley depth of the connected component C_{2n}(chord, n) of
+    a gcd split: C_{2n}(1, n) for n >= 2, or C_{2n}(2, n) for odd n >= 3."""
     r = n % 4
     if chord == 1:
-        if n < 2:
-            raise FormulaUnavailable("C_{2n}(1,n) needs n >= 2")
-        if r == 1:
-            d = ceil_div(n, 2)
-            rule = "ceil(n/2)"
-        else:
-            d = ceil_div(n - 1, 2)
-            rule = "ceil((n-1)/2)"
-        if r in (1, 2):
-            sdepth = FormulaValue.exact(d)
-            stag = f"sdepth={d}"
-        else:
-            hi = ceil_div(n, 2) + 1
-            sdepth = FormulaValue.bounds(d, hi)
-            stag = f"sdepth in [{d},{hi}]"
-        tag = f"cubic-1n n={n} [n%4={r}]: depth={rule}={d}; {stag}"
-    elif chord == 2:
-        if n < 3 or n % 2 == 0:
-            raise FormulaUnavailable("C_{2n}(2,n) formula needs odd n >= 3")
-        if r == 1:
-            d = ceil_div(n - 1, 2)
-            rule = "ceil((n-1)/2)"
-        else:
-            d = ceil_div(n, 2)
-            rule = "ceil(n/2)"
-        if r == 3:
-            sdepth = FormulaValue.exact(ceil_div(n, 2))
-            stag = f"sdepth={ceil_div(n, 2)}"
-        else:  # r == 1 for odd n
-            hi = ceil_div(n, 2) + 1
-            sdepth = FormulaValue.bounds(d, hi)
-            stag = f"sdepth in [{d},{hi}]"
-        tag = f"cubic-2n n={n} [n%4={r}]: depth={rule}={d}; {stag}"
+        d = ceil_div(n, 2) if r == 1 else ceil_div(n - 1, 2)
+        exact = r in (1, 2)
     else:
-        raise FormulaUnavailable("chord must be 1 or 2")
-    return _from_depth(2 * n, d, tag, sdepth)
+        d = ceil_div(n - 1, 2) if r == 1 else ceil_div(n, 2)
+        exact = r == 3
+    return d, FormulaValue.exact(d) if exact else FormulaValue(d, ceil_div(n, 2) + 1)
 
 
 # The paper's depth rule for each parity of 2n/t and whether the component's
@@ -246,8 +186,8 @@ _CUBIC_RULES = {
 }
 
 
-def cubic_general_invariants(n: int, a: int) -> FormulaReport:
-    """Invariants of any cubic circulant C_{2n}(a,n), 1 <= a < n.
+def _cubic(spec: CubicCirculantSpec) -> FormulaReport:
+    """Any cubic circulant C_{2n}(a,n), 1 <= a < n.
 
     CubicCirculantSpec.split gives the isomorphic connected copies; depth
     adds over copies, so the exact depth is the copy count times the
@@ -255,17 +195,16 @@ def cubic_general_invariants(n: int, a: int) -> FormulaReport:
     so for more than one copy the report carries a lower bound; for a single
     copy the connected value or bound is passed through.
     """
-    if n < 2 or not 1 <= a < n:
-        raise FormulaUnavailable("cubic circulant needs n >= 2 and 1 <= a < n")
-    t, parity, copies, component = CubicCirculantSpec(n, a).split()
+    n, a = spec.n, spec.a
+    t, parity, copies, component = spec.split()
     chord, m = component.shifts
-    connected = cubic_connected_invariants(chord, m)
-    depth = copies * connected.depth.value
+    connected_depth, connected_sdepth = _cubic_connected(chord, m)
+    depth = copies * connected_depth
     rule = _CUBIC_RULES[parity, m % 4 == 1]
     quotient = "n/t" if chord == 1 else "2n/t"
     branch = f"t={t}, 2n/t {parity}, ({quotient})%4={m % 4}"
     if copies == 1:
-        sdepth = connected.sdepth
+        sdepth = connected_sdepth
         stag = "sdepth from the connected form"
     else:
         sdepth = FormulaValue.at_least(depth)
@@ -275,26 +214,35 @@ def cubic_general_invariants(n: int, a: int) -> FormulaReport:
 
 
 def formula_for_spec(spec: GraphSpec) -> FormulaReport:
-    """Dispatch a graph spec to the closed form that covers it.
+    """The closed form that covers a graph spec: the one entry to this module.
 
-    Circulants are recognized when they are cycles (single shift 1), paths
-    in disguise (C_2(1)) or cubic; disjoint unions compose by depth
-    additivity, with Stanley depth kept as a lower bound.
+    This is the one place a spec kind is read; the helpers above take specs
+    their constructors have already validated.  Circulants are recognized
+    when they are cycles (single shift 1), paths in disguise (C_2(1)) or
+    cubic; disjoint unions compose by depth additivity, with Stanley depth
+    kept as a lower bound.
     """
-    if isinstance(spec, (PathSpec, CycleSpec, StarSpec, CompleteSpec)):
-        return base_family_invariants(spec)
+    if isinstance(spec, PathSpec):
+        if spec.q < 2:
+            raise FormulaUnavailable("path formula needs q >= 2")
+        return _path(spec)
+    if isinstance(spec, CycleSpec):
+        return _cycle(spec)
+    if isinstance(spec, (StarSpec, CompleteSpec)):
+        if spec.q < 2:
+            raise FormulaUnavailable("needs q >= 2")
+        return _from_depth(spec.q, 1, f"{spec.kind} q={spec.q}: depth=sdepth=1")
     if isinstance(spec, LadderSpec):
-        return ladder_invariants(spec.family, spec.n)
+        return _ladder(spec)
     if isinstance(spec, CubicCirculantSpec):
-        return cubic_general_invariants(spec.n, spec.a)
+        return _cubic(spec)
     if isinstance(spec, CirculantSpec):
         q, shifts = spec.q, spec.shifts
         if shifts == (1,):
-            if q == 2:
-                return base_family_invariants(PathSpec(2))
-            return base_family_invariants(CycleSpec(q))
-        if len(shifts) == 2 and q == 2 * shifts[1] and shifts[0] < shifts[1]:
-            return cubic_general_invariants(shifts[1], shifts[0])
+            return _path(PathSpec(2)) if q == 2 else _cycle(CycleSpec(q))
+        # shifts are sorted and distinct, so this is C_q(a, q/2) with a < q/2
+        if len(shifts) == 2 and q == 2 * shifts[1]:
+            return _cubic(CubicCirculantSpec(shifts[1], shifts[0]))
         raise FormulaUnavailable(
             f"no closed form for circulant q={q}, shifts={shifts}"
         )

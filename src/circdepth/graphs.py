@@ -634,20 +634,6 @@ def _refined_classes(g: Graph) -> list[int]:
         classes = [split[sig] for sig in sorted(split)]
 
 
-def _refined_colors(g: Graph) -> tuple[int, ...]:
-    """Stable vertex colouring under iterated neighbour-colour refinement.
-
-    Vertex v gets the index of its class in _refined_classes(g).  The
-    colouring is an isomorphism invariant, so isomorphic graphs give equal
-    sorted colourings.
-    """
-    colors = [0] * g.num_vertices
-    for c, mask in enumerate(_refined_classes(g)):
-        for v in bits(mask):
-            colors[v] = c
-    return tuple(colors)
-
-
 def _check_iso_size(num_vertices: int) -> None:
     if num_vertices > MAX_ISO_VERTICES:
         raise IsomorphismSizeError(

@@ -40,9 +40,11 @@ complex of H, and N[w] is w with its neighbours.
     j Z_j(V) = q (Z_j(V) - Z_j(V - 0)), so Z_j(V) = q Z_j(V - 0) / (q - j)
     for j < q, and Z_q(V) is the homology of G itself.
 
-The simplicial and fold rules run at both levels: in the sum over subsets
+The simplicial rule runs at both levels: in the sum over subsets
 (_HochsterSum.subset_sum) and in the homology of one induced subgraph
-(_HochsterSum.induced_homology).  Both levels are memoised for one table.
+(_HochsterSum.induced_homology).  The fold rule runs in the sum only: for a
+fold pair (u, w), u is isolated in H - N[w], a cone, so the vertex split at
+w always applies and gives Ind(H - w).  Both levels are memoised for one table.
 The rotation rule runs once, at the top of the sum (_HochsterSum.rotation_sum).
 """
 
@@ -56,7 +58,7 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     Graph,
-    _refined_colors,
+    _refined_classes,
     bits,
     components_of_mask,
     find_isomorphism,
@@ -428,9 +430,10 @@ class _HochsterSum:
         The first rule that applies gives it: a simplicial vertex v makes it
         the sum over w in N(v) of the homology of mask - N[w] with every s
         raised by one (none for an isolated v); a disconnected mask gives the
-        join over its components; a fold pair removes its vertex w; then the
-        vertex split, and only a component that no vertex splits goes to
-        face enumeration and ranks.
+        join over its components; then the vertex split, and only a component
+        that no vertex splits goes to face enumeration and ranks.  A fold pair
+        (u, w) needs no rule here: u is isolated in mask - N[w], so w splits
+        the mask and gives the homology of mask - w.
         """
         h = self.homology.get(mask)
         if h is None:
@@ -448,8 +451,6 @@ class _HochsterSum:
                     h = _join(h, self.induced_homology(part))
                     if not h:
                         break
-            elif (pair := _fold_pair(adjacency, mask)) is not None:
-                h = self.induced_homology(mask ^ (1 << pair[1]))
             else:
                 h = self._vertex_split(mask)
                 if h is None:
@@ -522,9 +523,10 @@ class OracleMemo:
     over the same field, gets the stored report at once: the identity maps
     one onto the other.  Any other graph gets a stored report only after
     find_isomorphism maps the graph it was computed on onto ``g``.  Those
-    candidates are bucketed by an isomorphism invariant (field, vertex and
-    edge counts, the sorted refined colouring), so a bucket holds only
-    candidates and a poor key can cost a miss, never a wrong answer.
+    candidates are bucketed by an isomorphism invariant: the field, the edge
+    count and the sizes of the _refined_classes classes in their canonical
+    colour order, which also fix the vertex count.  A bucket holds only
+    candidates, and a poor key can cost a miss, never a wrong answer.
     """
 
     def __init__(self) -> None:
@@ -535,7 +537,7 @@ class OracleMemo:
         exact = (field, g.adjacency)
         if exact in self._exact:
             return self._exact[exact]
-        key = (field, g.num_vertices, g.edge_count, tuple(sorted(_refined_colors(g))))
+        key = (field, g.edge_count, tuple(c.bit_count() for c in _refined_classes(g)))
         bucket = self._buckets.setdefault(key, [])
         for h, report in bucket:
             if find_isomorphism(h, g) is not None:

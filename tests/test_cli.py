@@ -246,7 +246,7 @@ def test_verify_paper_colon_mismatch(capsys, monkeypatch):
 def test_verify_paper_colon_rows_for_every_n():
     # the colon rows run for every n from 3 to max_n, prisms at odd n only
     colon = [
-        (t.family, t.params) for t in cli._verify_tasks(8, True)
+        (t.family, t.params) for t in cli._verify_tasks(8, True)[0]
         if t.family.startswith("colon-")
     ]
     expected = []
@@ -255,6 +255,27 @@ def test_verify_paper_colon_rows_for_every_n():
         if n % 2 == 1:
             expected.append(("colon-cubic2n", f"n={n},pivot=y{n}"))
     assert colon == expected
+
+
+def test_verify_paper_names_the_rows_it_leaves_out(capsys):
+    # the default tier leaves out the 16-vertex ladders C_7 and D_7, one
+    # note each on stderr with the reason _skipped_routes gives
+    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "7", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 142
+    reason = "16 vertices is in the slow tier (16-20); pass --slow to run it"
+    assert err.splitlines() == [
+        f"note: ladderC n=7 skipped: {reason}",
+        f"note: ladderD n=7 skipped: {reason}",
+    ]
+    assert reason == cli._skipped_routes(16, cli.ORACLE_ROUTES, False)["oracle"]
+
+
+def test_verify_paper_skips_nothing_at_max_n_5(capsys):
+    _, notes = cli._verify_tasks(5, False)
+    assert notes == []
+    code, _, err = run_cli(capsys, "verify-paper", "--max-n", "5", "--format", "csv")
+    assert (code, err) == (0, "")
 
 
 def test_verify_paper_tier_limits(capsys):
@@ -568,7 +589,7 @@ def test_verdict_logic():
     assert _verdict(exact, off, None) == "MISMATCH"
 
     bounded = _report(
-        FormulaValue.exact(2), FormulaValue.exact(3), FormulaValue.bounds(2, 3), 5
+        FormulaValue.exact(2), FormulaValue.exact(3), FormulaValue(2, 3), 5
     )
     inside = SdepthResult(value=3, is_exact=True, witness=None)
     outside = SdepthResult(value=4, is_exact=True, witness=None)

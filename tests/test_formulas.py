@@ -5,20 +5,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
-from circdepth.formulas import (
-    FormulaUnavailable,
-    FormulaValue,
-    base_family_invariants,
-    ceil_div,
-    cubic_connected_invariants,
-    cubic_general_invariants,
-    formula_for_spec,
-    ladder_invariants,
-)
+from circdepth.formulas import FormulaUnavailable, FormulaValue, ceil_div, formula_for_spec
 from circdepth.graphs import (
     CirculantSpec,
     CompleteSpec,
+    CubicCirculantSpec,
     CycleSpec,
+    GraphSpecError,
+    LadderSpec,
     PathSpec,
     StarSpec,
     UnionSpec,
@@ -28,81 +22,92 @@ from circdepth.graphs import (
 from test_graphs import _specs
 
 
+def _ladder(family, n):
+    return formula_for_spec(LadderSpec(family, n))
+
+
+def _cubic(n, a):
+    return formula_for_spec(CubicCirculantSpec(n, a))
+
+
+def _connected(chord, n):
+    # the connected cubic circulant C_2n(chord, n), one copy of itself
+    return formula_for_spec(CirculantSpec(2 * n, (chord, n)))
+
+
 def test_formula_value_shapes():
     assert FormulaValue.exact(3).is_exact
-    assert str(FormulaValue.bounds(2, 3)) == "[2,3]"
+    assert str(FormulaValue(2, 3)) == "[2,3]"
     assert str(FormulaValue.at_least(2)) == ">=2"
     assert FormulaValue.at_least(2).contains(9)
-    assert not FormulaValue.bounds(2, 3).contains(4)
+    assert not FormulaValue(2, 3).contains(4)
     with pytest.raises(ValueError):
-        FormulaValue.bounds(3, 2)
+        FormulaValue(3, 2)
 
 
 def test_base_family_examples():
-    assert base_family_invariants(PathSpec(4)).depth.value == 2
-    c7 = base_family_invariants(CycleSpec(7))
+    assert formula_for_spec(PathSpec(4)).depth.value == 2
+    c7 = formula_for_spec(CycleSpec(7))
     assert c7.depth.value == 2
     assert (c7.sdepth.lo, c7.sdepth.hi) == (2, 3)
-    assert base_family_invariants(StarSpec(9)).depth.value == 1
-    assert base_family_invariants(CompleteSpec(5)).pdim.value == 4
+    assert formula_for_spec(StarSpec(9)).depth.value == 1
+    assert formula_for_spec(CompleteSpec(5)).pdim.value == 4
 
 
 def test_cycle_sdepth_exact_branches():
     for q in (3, 5, 6, 8, 9):
-        rep = base_family_invariants(CycleSpec(q))
+        rep = formula_for_spec(CycleSpec(q))
         assert rep.sdepth.is_exact
         assert rep.sdepth.value == ceil_div(q - 1, 3)
     for q in (4, 7, 10):
-        assert not base_family_invariants(CycleSpec(q)).sdepth.is_exact
+        assert not formula_for_spec(CycleSpec(q)).sdepth.is_exact
 
 
 def test_ladder_examples():
-    b5 = ladder_invariants("B", 5)
+    b5 = _ladder("B", 5)
     assert (b5.depth.value, b5.pdim.value) == (3, 8)
-    c6 = ladder_invariants("C", 6)
+    c6 = _ladder("C", 6)
     assert (c6.depth.value, c6.pdim.value) == (5, 9)
-    d4 = ladder_invariants("D", 4)
+    d4 = _ladder("D", 4)
     assert (d4.depth.value, d4.pdim.value) == (4, 6)
-    a4 = ladder_invariants("A", 4)
+    a4 = _ladder("A", 4)
     assert (a4.depth.value, a4.pdim.value) == (2, 6)
     assert (a4.sdepth.lo, a4.sdepth.hi) == (2, 3)
-    a5 = ladder_invariants("A", 5)
+    a5 = _ladder("A", 5)
     assert a5.sdepth.value == 3
 
 
 def test_ladder_degenerate_values():
-    assert ladder_invariants("B", 0).depth.value == 1
-    assert ladder_invariants("B", 0).pdim.value == 0
-    assert ladder_invariants("A", 1).depth.value == 1
-    assert ladder_invariants("B", 1).depth.value == 1
-    assert ladder_invariants("C", 1).depth.value == 1
-    assert ladder_invariants("D", 1).depth.value == 2
+    assert _ladder("B", 0).depth.value == 1
+    assert _ladder("B", 0).pdim.value == 0
+    assert _ladder("A", 1).depth.value == 1
+    assert _ladder("B", 1).depth.value == 1
+    assert _ladder("C", 1).depth.value == 1
+    assert _ladder("D", 1).depth.value == 2
 
 
 def test_cubic_connected_examples():
-    one5 = cubic_connected_invariants(1, 5)
+    one5 = _connected(1, 5)
     assert one5.depth.value == 3 and one5.sdepth.value == 3
-    one4 = cubic_connected_invariants(1, 4)
+    one4 = _connected(1, 4)
     assert one4.depth.value == 2
     assert (one4.sdepth.lo, one4.sdepth.hi) == (2, 3)
-    assert cubic_connected_invariants(2, 3).depth.value == 2
-    assert cubic_connected_invariants(2, 5).depth.value == 2
-    with pytest.raises(FormulaUnavailable):
-        cubic_connected_invariants(2, 4)
+    assert _connected(2, 3).depth.value == 2
+    assert _connected(2, 5).depth.value == 2
 
 
 def test_cubic_general_examples():
-    r = cubic_general_invariants(6, 2)
+    r = _cubic(6, 2)
     assert (r.depth.value, r.pdim.value) == (2, 10)
-    assert cubic_general_invariants(2, 1).depth.value == 1
-    assert cubic_general_invariants(5, 2).depth.value == 2
-    assert cubic_general_invariants(6, 3).depth.value == 3
+    assert _cubic(2, 1).depth.value == 1
+    assert _cubic(5, 2).depth.value == 2
+    assert _cubic(6, 3).depth.value == 3
 
 
 def test_cubic_general_ab_consistency():
     for n in range(2, 31):
         for a in range(1, n):
-            r = cubic_general_invariants(n, a)
+            r = _cubic(n, a)
             assert r.depth.value + r.pdim.value == 2 * n
 
 
@@ -122,7 +127,7 @@ def test_cubic_general_matches_paper_closed_forms():
                 want = ceil(2 * n - t, 2 * t) * (t // 2)
             else:
                 want = ceil(n, t) * (t // 2)
-            assert cubic_general_invariants(n, a).depth.value == want, (n, a)
+            assert _cubic(n, a).depth.value == want, (n, a)
 
 
 @pytest.mark.parametrize(
@@ -143,14 +148,14 @@ def test_cubic_general_matches_paper_closed_forms():
 )
 def test_cubic_general_source_strings(n, a, source):
     # one case per branch of the four closed forms; benchmarks/ref pins these
-    assert cubic_general_invariants(n, a).source == source
+    assert _cubic(n, a).source == source
 
 
 def test_bounds_lower_end_is_depth():
-    reports = [cubic_connected_invariants(1, n) for n in range(2, 12)]
-    reports += [cubic_connected_invariants(2, n) for n in range(3, 12, 2)]
-    reports += [cubic_general_invariants(n, a) for n in range(2, 9) for a in range(1, n)]
-    reports += [ladder_invariants("A", n) for n in range(1, 9)]
+    reports = [_connected(1, n) for n in range(2, 12)]
+    reports += [_connected(2, n) for n in range(3, 12, 2)]
+    reports += [_cubic(n, a) for n in range(2, 9) for a in range(1, n)]
+    reports += [_ladder("A", n) for n in range(1, 9)]
     for r in reports:
         assert r.sdepth.lo == r.depth.value
 
@@ -185,9 +190,13 @@ def test_closed_forms_give_exact_depth_and_pdim(spec):
 
 
 def test_out_of_range_rejected():
-    with pytest.raises(FormulaUnavailable):
-        base_family_invariants(PathSpec(1))
-    with pytest.raises(FormulaUnavailable):
-        ladder_invariants("A", 0)
-    with pytest.raises(FormulaUnavailable):
-        cubic_general_invariants(3, 3)
+    # the two one-vertex specs have no closed form; bad family parameters
+    # never reach the closed forms, since the spec constructors reject them
+    with pytest.raises(FormulaUnavailable, match="^path formula needs q >= 2$"):
+        formula_for_spec(PathSpec(1))
+    with pytest.raises(FormulaUnavailable, match="^needs q >= 2$"):
+        formula_for_spec(CompleteSpec(1))
+    with pytest.raises(GraphSpecError):
+        LadderSpec("A", 0)
+    with pytest.raises(GraphSpecError):
+        CubicCirculantSpec(3, 3)

@@ -72,6 +72,16 @@ def test_cubic_circulant_rejects_bad_parameters():
         CirculantSpec(7, (1, 4))  # 4 > floor(7/2)
 
 
+def test_ladder_spec_rejects_bad_parameters():
+    # the spec is the only guard: the ladder closed forms do not check n
+    for family, n in (("A", 0), ("C", 0), ("D", 0), ("E", 3)):
+        with pytest.raises(GraphSpecError):
+            LadderSpec(family, n)
+    with pytest.raises(GraphSpecError):
+        parse_graph_spec("ladderA:0")
+    assert build_graph(LadderSpec("B", 0)).num_vertices == 1
+
+
 @pytest.mark.parametrize("q,shifts", [(7, (1, 3)), (9, (2, 4)), (8, (1, 4)), (6, (3,)), (10, (2, 5))])
 def test_circulant_regularity(q, shifts):
     g = build_graph(CirculantSpec(q, shifts))
@@ -386,7 +396,8 @@ def test_find_isomorphism_matches_the_reference_search():
         want = _find_isomorphism_reference(g, h)
         assert find_isomorphism(g, h) == want, (kind, g, h)
         for x in (g, h):
-            assert _partition(graphs._refined_colors(x)) == _partition(
+            classes = graphs._refined_classes(x)
+            assert sorted(list(graphs.bits(c)) for c in classes) == _partition(
                 _refined_colors_reference(x)
             ), (kind, x)
         seen.setdefault(kind, set()).add(want is None)

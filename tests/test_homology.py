@@ -443,7 +443,8 @@ _fold_graphs = st.builds(
 @settings(max_examples=60, deadline=None)
 def test_fold_rule_matches_plain_hochster_sum(g, rng):
     # the fold pair (u, w) takes the fold rule in the sum before any connected
-    # set is listed, and again in the homology of the induced subgraphs
+    # set is listed; in the homology of an induced subgraph the vertex split
+    # at w settles it
     _assert_matches_reference(_relabeled(g, rng), (GF2, FieldSpec(3), RATIONALS))
 
 
@@ -635,6 +636,26 @@ def test_fold_vertex_brute_force(g, data):
         assert u in verts and w in verts
         assert folds(u, w)
         assert not adj[u] >> w & 1
+
+
+@given(_small_graphs, st.sampled_from((GF2, RATIONALS)))
+@settings(max_examples=100, deadline=None)
+def test_fold_pair_needs_no_rule_in_induced_homology(g, field):
+    # for a fold pair (u, w) of G[mask], u is isolated in G[mask] - N[w], a
+    # cone, so the homology of G[mask] is that of G[mask] - w, and a mask
+    # without a simplicial vertex always has a vertex that splits it.  Every
+    # mask is checked: few random ones have a fold pair and no simplicial vertex
+    adj = g.adjacency
+    oracle = _HochsterSum(g, field)
+    for mask in range(1 << g.num_vertices):
+        pair = _fold_pair(adj, mask)
+        if pair is None:
+            continue
+        got = dict(oracle.induced_homology(mask))
+        assert got == dict(oracle.induced_homology(mask ^ 1 << pair[1]))
+        assert got == _face_homology(adj, mask, field)
+        if _simplicial(adj, mask) is None:
+            assert oracle._vertex_split(mask) is not None
 
 
 def test_fold_reduction_bounds_face_enumerations(monkeypatch):
