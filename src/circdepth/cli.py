@@ -4,7 +4,8 @@ decomposition reports.
 
 Exit codes: 0 success, 1 a computed value contradicts a closed form (or a
 structural verification failed, or a verify-paper row raised), 2 invalid
-input or out-of-tier request.
+input or out-of-tier request.  Exit code 2 comes only from ``main``: the
+commands raise, and ``main`` prints ``error: ...`` and returns 2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields
 from functools import cache, partial
 from typing import Callable, Collection
 
-from .formulas import FormulaReport, FormulaUnavailable, formula_for_spec
+from .formulas import FormulaReport, FormulaUnavailable, FormulaValue, formula_for_spec
 from .graphs import (
     CubicCirculantSpec,
     DecompositionError,
@@ -41,7 +42,6 @@ from .homology import (
     GF32003,
     ORACLE_VERTEX_CAP,
     RATIONALS,
-    SLOW_TIER_MIN,
     FieldSpec,
     InvariantReport,
     OracleMemo,
@@ -52,6 +52,11 @@ from .ideals import edge_ideal, verify_colon_decomposition
 from .sdepth import POSET_VAR_CAP, SdepthResult, sdepth_exact
 
 _FIELDS = {"2": GF2, "32003": GF32003, "exact": RATIONALS}
+
+
+class UsageError(ValueError):
+    """A request the CLI refuses: an unwritable --out, a route past its size cap,
+    or a --max-n outside the tier."""
 
 
 @dataclass
@@ -121,36 +126,42 @@ def evaluate(
     return Evaluation(formula, report, solver, _verdict(formula, report, solver))
 
 
+def _solver_bounds(solver: SdepthResult) -> FormulaValue:
+    """The solver's Stanley depth as a range: exact, or [value, inf) after a budget stop."""
+    return FormulaValue(solver.value, solver.value if solver.is_exact else None)
+
+
 def _verdict(
     formula: FormulaReport | None,
     oracle: InvariantReport | None,
     solver: SdepthResult | None,
 ) -> str:
-    mismatch = False
-    bounds_checked = False
+    """MISMATCH when two routes disagree, else match, or bounds-consistent when
+    the formula and the solver agree on a Stanley depth range that is not exact.
+
+    Every closed form gives exact depth, and pdim follows from depth on both
+    reports, so depth is compared alone.  The formula's and the solver's
+    Stanley depth ranges must meet.
+    """
+    mismatch = bounds_checked = False
     if formula is not None and oracle is not None:
-        # every closed form gives exact depth and pdim
         mismatch |= formula.depth.value != oracle.depth
-        mismatch |= formula.pdim.value != oracle.pdim
-    if formula is not None and solver is not None:
-        sv = formula.sdepth
-        if solver.is_exact:
-            if sv.is_exact:
-                mismatch |= sv.value != solver.value
-            else:
-                bounds_checked = True
-                mismatch |= not sv.contains(solver.value)
-        else:
-            # budget ran out: the solver value is only a lower bound
-            bounds_checked = True
-            if sv.hi is not None:
-                mismatch |= solver.value > sv.hi
-    if oracle is not None and solver is not None and solver.is_exact:
-        # Stanley inequality: exact Stanley depth below depth is a finding
-        mismatch |= solver.value < oracle.depth
+    if solver is not None:
+        found = _solver_bounds(solver)
+        if formula is not None:
+            mismatch |= not formula.sdepth.meets(found)
+            bounds_checked = not (formula.sdepth.is_exact and found.is_exact)
+        if oracle is not None and found.is_exact:
+            # Stanley inequality: exact Stanley depth below depth is a finding
+            mismatch |= found.value < oracle.depth
     if mismatch:
         return "MISMATCH"
     return "bounds-consistent" if bounds_checked else "match"
+
+
+# The oracle's slow tier: from this many vertices up to ORACLE_VERTEX_CAP it
+# runs only with --slow.
+SLOW_TIER_MIN = 16
 
 
 def _skipped_routes(num_vertices: int, routes: Collection[str], slow: bool) -> dict[str, str]:
@@ -203,17 +214,11 @@ def _evaluation_cells(result: Evaluation) -> dict[str, str]:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    try:
-        spec = parse_graph_spec(args.graph)
-    except GraphSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    spec = parse_graph_spec(args.graph)
     routes = set(ALL_ROUTES) if args.method == "all" else {args.method}
     for route, reason in _skipped_routes(spec.num_vertices, routes, args.slow).items():
         if route == args.method:
-            print(f"error: {reason}", file=sys.stderr)
-            return 2
+            raise UsageError(reason)
         print(f"note: {_ROUTE_NAMES[route]} skipped: {reason}", file=sys.stderr)
         routes.discard(route)
     _check_out(args.out)
@@ -221,10 +226,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     field = _FIELDS[args.field]
     try:
         result = evaluate(spec, routes, field, args.budget_seconds)
-    except FormulaUnavailable as exc:
+    except FormulaUnavailable:
         if args.method == "formula":
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise
         # with --method all the closed form is reported only when there is one
         routes.discard("formula")
         result = evaluate(spec, routes, field, args.budget_seconds)
@@ -235,16 +239,17 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _sdepth_json(formula, solver):
+    """The solver's Stanley depth range when it ran, else the formula's, else None."""
     if solver is not None:
-        if solver.is_exact:
-            return {"lo": solver.value, "hi": solver.value, "exact": solver.value}
-        return {"lo": solver.value, "hi": None}
-    if formula is not None:
-        obj = {"lo": formula.sdepth.lo, "hi": formula.sdepth.hi}
-        if formula.sdepth.is_exact:
-            obj["exact"] = formula.sdepth.value
-        return obj
-    return None
+        bounds = _solver_bounds(solver)
+    elif formula is not None:
+        bounds = formula.sdepth
+    else:
+        return None
+    obj = {"lo": bounds.lo, "hi": bounds.hi}
+    if bounds.is_exact:
+        obj["exact"] = bounds.value
+    return obj
 
 
 def _invariants_payload(args, spec, result: Evaluation, seconds):
@@ -315,24 +320,24 @@ def _render_invariants(args, spec, result: Evaluation, payload):
 
 @dataclass(frozen=True)
 class RowTask:
-    """One verify-paper row: ``check(field, budget)`` returns its cells.
+    """One verify-paper row: ``check()`` returns its cells.
 
-    ``check`` binds what the row checks: the spec, its routes and the run's
-    oracle memo, or the graph of a colon row, or the n and a of a
-    decomposition row.
+    ``check`` binds all the row reads: the spec, its routes, the field, the
+    budget and the run's oracle memo, or the graph of a colon row, or the n
+    and a of a decomposition row.
     """
 
     family: str
     params: str
-    check: Callable[[FieldSpec, float | None], dict[str, str]]
+    check: Callable[[], dict[str, str]]
 
 
-def _invariant_cells(spec, routes, oracle, field, budget) -> dict[str, str]:
+def _invariant_cells(spec, routes, field, budget, oracle) -> dict[str, str]:
     return _evaluation_cells(evaluate(spec, routes, field, budget, oracle))
 
 
-def _decomposition_cells(n, a, field, budget) -> dict[str, str]:
-    """The gcd-decomposition check of C_2n(a, n); field and budget are unused."""
+def _decomposition_cells(n, a) -> dict[str, str]:
+    """The gcd-decomposition check of C_2n(a, n)."""
     try:
         report = davis_domke_decompose(n, a)
     except DecompositionError as exc:
@@ -344,8 +349,8 @@ def _decomposition_cells(n, a, field, budget) -> dict[str, str]:
     }
 
 
-def _colon_cells(g, pivot, field, budget) -> dict[str, str]:
-    """The colon-quotient support bijection at ``pivot``; field and budget are unused.
+def _colon_cells(g, pivot) -> dict[str, str]:
+    """The colon-quotient support bijection at ``pivot``.
 
     The theorem text keeps the earlier check's wording, which the benchmark's
     reference table pins.
@@ -357,13 +362,16 @@ def _colon_cells(g, pivot, field, budget) -> dict[str, str]:
     }
 
 
-def _verify_tasks(max_n: int, slow: bool) -> tuple[list[RowTask], list[str]]:
+def _verify_tasks(
+    max_n: int, slow: bool, field: FieldSpec, budget: float | None
+) -> tuple[list[RowTask], list[str]]:
     """The table's rows, in order, and a note for each row left out.
 
     A row is left out when _skipped_routes refuses one of its routes; its
-    note names the row and gives the reasons.  The invariant rows share one
-    fresh oracle memo, so the run computes each isomorphism class once per
-    field and keeps nothing after it ends.
+    note names the row and gives the reasons.  The invariant rows run over
+    ``field`` with the solver ``budget`` and share one fresh oracle memo, so
+    the run computes each isomorphism class once and keeps nothing after it
+    ends.
     """
     tasks: list[RowTask] = []
     notes: list[str] = []
@@ -376,7 +384,7 @@ def _verify_tasks(max_n: int, slow: bool) -> tuple[list[RowTask], list[str]]:
         if skipped:
             notes.append(f"note: {family} {params} skipped: {'; '.join(skipped.values())}")
         else:
-            check = partial(_invariant_cells, spec, routes, memo.invariants)
+            check = partial(_invariant_cells, spec, routes, field, budget, memo.invariants)
             tasks.append(RowTask(family, params, check))
 
     for kind, low in (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)):
@@ -421,11 +429,11 @@ def _verify_tasks(max_n: int, slow: bool) -> tuple[list[RowTask], list[str]]:
     return tasks, notes
 
 
-def _run_row(task: RowTask, field: FieldSpec, budget: float | None) -> VerificationRow:
+def _run_row(task: RowTask) -> VerificationRow:
     """Run and time one row; a crashed row is reported as ERROR, and the table goes on."""
     t0 = time.perf_counter()
     try:
-        cells = task.check(field, budget)
+        cells = task.check()
     except Exception as exc:
         cells = {"verdict": "ERROR", "theorem": f"error: {exc}"}
     return VerificationRow(
@@ -437,21 +445,15 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     max_n, slow = args.max_n, args.slow
     limit = 8 if slow else 7
     if max_n > limit:
-        print(
-            f"error: --max-n {max_n} exceeds the "
-            f"{'slow' if slow else 'default'} tier limit of {limit}",
-            file=sys.stderr,
-        )
-        return 2
+        tier = "slow" if slow else "default"
+        raise UsageError(f"--max-n {max_n} exceeds the {tier} tier limit of {limit}")
     if max_n < 2:
-        print(f"error: --max-n {max_n} is below 2, the smallest n", file=sys.stderr)
-        return 2
+        raise UsageError(f"--max-n {max_n} is below 2, the smallest n")
     _check_out(args.out)
-    field = _FIELDS[args.field]
-    tasks, notes = _verify_tasks(max_n, slow)
+    tasks, notes = _verify_tasks(max_n, slow, _FIELDS[args.field], args.budget_seconds)
     for note in notes:
         print(note, file=sys.stderr)
-    rows = [_run_row(t, field, args.budget_seconds) for t in tasks]
+    rows = [_run_row(t) for t in tasks]
     mismatches = sum(r.verdict == "MISMATCH" for r in rows)
     errors = sum(r.verdict == "ERROR" for r in rows)
 
@@ -508,13 +510,10 @@ def _row_values(row: VerificationRow) -> list[str]:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     n, a = args.n, args.a
+    CubicCirculantSpec(n, a)  # reject bad n, a before the --out check
+    _check_out(args.out)
     try:
-        CubicCirculantSpec(n, a)  # reject bad n, a before the --out check
-        _check_out(args.out)
         report = davis_domke_decompose(n, a)
-    except (GraphSpecError, IsomorphismSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DecompositionError as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return 1
@@ -546,20 +545,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-class OutputError(ValueError):
-    """The --out file cannot be written."""
-
-
 def _write(out: str, text: str, mode: str) -> None:
     try:
         with open(out, mode) as fh:
             fh.write(text)
     except OSError as exc:
-        raise OutputError(f"cannot write --out {out}: {exc.strerror}") from exc
+        raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def _check_out(out: str | None) -> None:
-    """Raise OutputError when --out cannot be written, before any work is done.
+    """Raise UsageError when --out cannot be written, before any work is done.
 
     A file the probe creates is removed again, so a run that stops before
     its output leaves nothing behind.
@@ -636,10 +631,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place that prints ``error: ...`` and returns 2."""
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (OracleSizeError, OutputError) as exc:
+    except (
+        GraphSpecError, IsomorphismSizeError, FormulaUnavailable, OracleSizeError, UsageError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

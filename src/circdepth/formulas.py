@@ -70,6 +70,10 @@ class FormulaValue:
     def contains(self, v: int) -> bool:
         return v >= self.lo and (self.hi is None or v <= self.hi)
 
+    def meets(self, other: "FormulaValue") -> bool:
+        """Whether some value lies in both ranges: the higher lower end lies in both."""
+        return self.contains(other.lo) or other.contains(self.lo)
+
     def __str__(self) -> str:
         if self.is_exact:
             return str(self.lo)
@@ -80,29 +84,31 @@ class FormulaValue:
 
 @dataclass(frozen=True)
 class FormulaReport:
+    """The closed form of S/I(G) on ``ambient_vars`` variables.
+
+    ``depth`` is stored and exact for every closed form; ``pdim`` is derived
+    from it by Auslander-Buchsbaum, pdim = ambient_vars - depth, so the two
+    cannot disagree.
+    """
+
     depth: FormulaValue
     sdepth: FormulaValue
-    pdim: FormulaValue
     source: str
     ambient_vars: int
 
-    def __post_init__(self) -> None:
-        if self.depth.is_exact and self.pdim.is_exact:
-            if self.depth.value + self.pdim.value != self.ambient_vars:
-                raise ValueError("exact depth and pdim must sum to the variable count")
+    @property
+    def pdim(self) -> FormulaValue:
+        return FormulaValue.exact(self.ambient_vars - self.depth.value)
 
 
 def _from_depth(
     nv: int, depth: int, source: str, sdepth: FormulaValue | None = None
 ) -> FormulaReport:
-    """Exact depth and pdim = nv - depth (Auslander-Buchsbaum) on nv variables.
-
-    Stanley depth is ``sdepth`` when given, else exactly the depth.
-    """
+    """Exact depth on nv variables; Stanley depth is ``sdepth`` when given,
+    else exactly the depth."""
     return FormulaReport(
         depth=FormulaValue.exact(depth),
         sdepth=FormulaValue.exact(depth) if sdepth is None else sdepth,
-        pdim=FormulaValue.exact(nv - depth),
         source=source,
         ambient_vars=nv,
     )
@@ -250,14 +256,10 @@ def formula_for_spec(spec: GraphSpec) -> FormulaReport:
         parts = [formula_for_spec(p) for p in spec.parts]
         if len(parts) == 1:
             return parts[0]
-        nv = sum(p.ambient_vars for p in parts)
-        depth = sum(p.depth.value for p in parts)
-        return FormulaReport(
-            depth=FormulaValue.exact(depth),
-            sdepth=FormulaValue.at_least(sum(p.sdepth.lo for p in parts)),
-            pdim=FormulaValue.exact(nv - depth),
-            source=f"disjoint union of {len(parts)} parts: depth additive, "
-            "sdepth superadditive",
-            ambient_vars=nv,
+        return _from_depth(
+            sum(p.ambient_vars for p in parts),
+            sum(p.depth.value for p in parts),
+            f"disjoint union of {len(parts)} parts: depth additive, sdepth superadditive",
+            FormulaValue.at_least(sum(p.sdepth.lo for p in parts)),
         )
     raise FormulaUnavailable(f"no closed form for {spec!r}")

@@ -67,7 +67,6 @@ from .graphs import (
 from .ideals import edge_ideal, standard_supports
 
 ORACLE_VERTEX_CAP = 20
-SLOW_TIER_MIN = 16
 
 
 class OracleSizeError(ValueError):
@@ -133,17 +132,20 @@ class BettiTable:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """depth/pdim/reg of one quotient ring, with the field they were computed over."""
+    """pdim/reg/depth of one quotient ring, with the field they were computed over.
 
-    depth: int
+    ``pdim`` and ``reg`` are stored, as read off the Betti table; ``depth`` is
+    derived by Auslander-Buchsbaum, depth = ambient_vars - pdim.
+    """
+
     pdim: int
     reg: int
     ambient_vars: int
     field: FieldSpec
 
-    def __post_init__(self) -> None:
-        if self.depth + self.pdim != self.ambient_vars:
-            raise ValueError("depth + pdim must equal the number of variables")
+    @property
+    def depth(self) -> int:
+        return self.ambient_vars - self.pdim
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +508,7 @@ def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:
 def oracle_invariants(g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
     """depth/pdim/reg of S/I(G), read off the Betti table."""
     table = hochster_betti_table(g, field)
-    pdim = table.pdim
-    return InvariantReport(
-        depth=g.num_vertices - pdim,
-        pdim=pdim,
-        reg=table.reg,
-        ambient_vars=g.num_vertices,
-        field=field,
-    )
+    return InvariantReport(table.pdim, table.reg, table.ambient_vars, field)
 
 
 class OracleMemo:

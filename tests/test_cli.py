@@ -246,7 +246,7 @@ def test_verify_paper_colon_mismatch(capsys, monkeypatch):
 def test_verify_paper_colon_rows_for_every_n():
     # the colon rows run for every n from 3 to max_n, prisms at odd n only
     colon = [
-        (t.family, t.params) for t in cli._verify_tasks(8, True)[0]
+        (t.family, t.params) for t in cli._verify_tasks(8, True, GF32003, None)[0]
         if t.family.startswith("colon-")
     ]
     expected = []
@@ -272,7 +272,7 @@ def test_verify_paper_names_the_rows_it_leaves_out(capsys):
 
 
 def test_verify_paper_skips_nothing_at_max_n_5(capsys):
-    _, notes = cli._verify_tasks(5, False)
+    _, notes = cli._verify_tasks(5, False, GF32003, None)
     assert notes == []
     code, _, err = run_cli(capsys, "verify-paper", "--max-n", "5", "--format", "csv")
     assert (code, err) == (0, "")
@@ -333,14 +333,15 @@ def test_unwritable_out_fails_before_any_row(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_paper_passes_the_field_to_each_row(capsys, monkeypatch):
+    # each invariant row's check binds the field; it reaches the oracle memo
     fields = []
-    real = cli._run_row
+    real = homology.OracleMemo.invariants
 
-    def row(task, field, budget):
+    def invariants(self, g, field=GF32003):
         fields.append(field)
-        return real(task, field, budget)
+        return real(self, g, field)
 
-    monkeypatch.setattr(cli, "_run_row", row)
+    monkeypatch.setattr(homology.OracleMemo, "invariants", invariants)
     code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "2", "--field", "2")
     assert code == 0
     assert fields and all(field is GF2 for field in fields)
@@ -573,24 +574,18 @@ def test_invariants_never_reuses_an_oracle_answer(capsys, monkeypatch):
     assert [json.loads(o)["invariants"]["depth"] for o in outs] == [3, 3]
 
 
-def _report(depth, pdim, sdepth, nvars):
-    return FormulaReport(
-        depth=depth, sdepth=sdepth, pdim=pdim, source="synthetic", ambient_vars=nvars
-    )
+def _report(depth, sdepth, nvars):
+    return FormulaReport(depth=depth, sdepth=sdepth, source="synthetic", ambient_vars=nvars)
 
 
 def test_verdict_logic():
-    exact = _report(
-        FormulaValue.exact(2), FormulaValue.exact(3), FormulaValue.exact(2), 5
-    )
-    good = InvariantReport(depth=2, pdim=3, reg=1, ambient_vars=5, field=GF32003)
-    off = InvariantReport(depth=3, pdim=2, reg=1, ambient_vars=5, field=GF32003)
+    exact = _report(FormulaValue.exact(2), FormulaValue.exact(2), 5)
+    good = InvariantReport(pdim=3, reg=1, ambient_vars=5, field=GF32003)
+    off = InvariantReport(pdim=2, reg=1, ambient_vars=5, field=GF32003)
     assert _verdict(exact, good, None) == "match"
     assert _verdict(exact, off, None) == "MISMATCH"
 
-    bounded = _report(
-        FormulaValue.exact(2), FormulaValue.exact(3), FormulaValue(2, 3), 5
-    )
+    bounded = _report(FormulaValue.exact(2), FormulaValue(2, 3), 5)
     inside = SdepthResult(value=3, is_exact=True, witness=None)
     outside = SdepthResult(value=4, is_exact=True, witness=None)
     assert _verdict(bounded, good, inside) == "bounds-consistent"
@@ -599,3 +594,115 @@ def test_verdict_logic():
     # exact solver value below oracle depth violates the Stanley inequality
     low = SdepthResult(value=1, is_exact=True, witness=None)
     assert _verdict(None, good, low) == "MISMATCH"
+
+
+def _branchy_verdict(formula, oracle, solver):
+    """The verdict rule as it was written branch by branch, kept as a reference."""
+    mismatch = False
+    bounds_checked = False
+    if formula is not None and oracle is not None:
+        mismatch |= formula.depth.value != oracle.depth
+        mismatch |= formula.pdim.value != oracle.pdim
+    if formula is not None and solver is not None:
+        sv = formula.sdepth
+        if solver.is_exact:
+            if sv.is_exact:
+                mismatch |= sv.value != solver.value
+            else:
+                bounds_checked = True
+                mismatch |= not sv.contains(solver.value)
+        else:
+            bounds_checked = True
+            if sv.hi is not None:
+                mismatch |= solver.value > sv.hi
+    if oracle is not None and solver is not None and solver.is_exact:
+        mismatch |= solver.value < oracle.depth
+    if mismatch:
+        return "MISMATCH"
+    return "bounds-consistent" if bounds_checked else "match"
+
+
+def test_verdict_range_rule_matches_the_branchy_rule():
+    # formula depth 2 on 6 variables with every Stanley depth range lo <= 3,
+    # hi None or lo..4; solver values 0..5, exact or after a budget stop;
+    # oracle depths 0..6; each route also absent
+    formulas = [None] + [
+        _report(FormulaValue.exact(2), FormulaValue(lo, hi), 6)
+        for lo in range(4)
+        for hi in (None, *range(lo, 5))
+    ]
+    solvers = [None] + [
+        SdepthResult(value=v, is_exact=exact, witness=None)
+        for v in range(6)
+        for exact in (True, False)
+    ]
+    oracles = [None] + [
+        InvariantReport(pdim=6 - d, reg=1, ambient_vars=6, field=GF32003) for d in range(7)
+    ]
+    cases = [(f, o, s) for f in formulas for o in oracles for s in solvers]
+    assert len(cases) == 19 * 8 * 13
+    assert [_verdict(*c) for c in cases] == [_branchy_verdict(*c) for c in cases]
+
+
+_GRAMMAR = (
+    "path:Q | cycle:Q | star:Q | complete:Q | circulant:Q:a1,a2,... | cubic:N:A | "
+    "ladderA:N | ladderB:N | ladderC:N | ladderD:N | union:(spec;spec;...)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invariants", "--graph", "moon:3"],
+         f"cannot parse graph spec 'moon:3'; grammar: {_GRAMMAR}"),
+        (["invariants", "--graph", "cubic:50000:1", "--method", "oracle"],
+         "100000 vertices exceeds the oracle hard cap of 20; use --method formula for "
+         "family members"),
+        (["invariants", "--graph", "cubic:8:1", "--method", "oracle"],
+         "16 vertices is in the slow tier (16-20); pass --slow to run it"),
+        (["invariants", "--graph", "cubic:8:1", "--method", "sdepth"],
+         "16 variables exceeds the sdepth solver cap of 14"),
+        (["invariants", "--graph", "circulant:7:1,3", "--method", "formula"],
+         "no closed form for circulant q=7, shifts=(1, 3)"),
+        (["invariants", "--graph", "path:1", "--method", "formula"],
+         "path formula needs q >= 2"),
+        (["verify-paper", "--max-n", "9"], "--max-n 9 exceeds the default tier limit of 7"),
+        (["verify-paper", "--max-n", "9", "--slow"],
+         "--max-n 9 exceeds the slow tier limit of 8"),
+        (["verify-paper", "--max-n", "1"], "--max-n 1 is below 2, the smallest n"),
+        (["invariants", "--graph", "path:3", "--out", "{out}"],
+         "cannot write --out {out}: No such file or directory"),
+        (["verify-paper", "--max-n", "2", "--out", "{out}"],
+         "cannot write --out {out}: No such file or directory"),
+        (["decompose", "4", "2", "--out", "{out}"],
+         "cannot write --out {out}: No such file or directory"),
+        (["decompose", "4", "4"], "cubic circulant needs 1 <= a < n"),
+        (["decompose", "13", "2"], "too large for exact isomorphism (limit 24 vertices)"),
+    ],
+)
+def test_every_exit_2_path(capsys, tmp_path, argv, message):
+    out = str(tmp_path / "missing" / "x.out")
+    argv = [arg.replace("{out}", out) for arg in argv]
+    expected = (2, "", f"error: {message.replace('{out}', out)}\n")
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_verify_paper_budget_reaches_every_sdepth_row(capsys, monkeypatch):
+    # --max-n 3 has 26 sdepth rows; each solver call gets the budget, and
+    # each finishes within it with an exact value
+    budgets = []
+    real = cli.sdepth_exact
+
+    def solver(ideal, time_budget=None, floor=0):
+        budgets.append(time_budget)
+        return real(ideal, time_budget=time_budget, floor=floor)
+
+    monkeypatch.setattr(cli, "sdepth_exact", solver)
+    code, out, _ = run_cli(
+        capsys, "verify-paper", "--max-n", "3", "--budget-seconds", "30", "--format", "csv"
+    )
+    assert code == 0
+    rows = [r for r in csv.DictReader(io.StringIO(out)) if r["family"].startswith("sdepth-")]
+    assert len(rows) == len(budgets) == 26
+    assert budgets == [30.0] * 26
+    assert all(r["sdepth_exact"] for r in rows)

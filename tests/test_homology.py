@@ -32,7 +32,6 @@ from circdepth.homology import (
     RATIONALS,
     BettiTable,
     FieldSpec,
-    InvariantReport,
     OracleMemo,
     OracleSizeError,
     _HochsterSum,
@@ -187,11 +186,6 @@ def test_oracle_zero_ideal():
     g = graph_from_edges(["a", "b", "c"], [])
     rep = oracle_invariants(g)
     assert (rep.depth, rep.pdim, rep.reg) == (3, 0, 0)
-
-
-def test_invariant_report_enforces_auslander_buchsbaum():
-    with pytest.raises(ValueError):
-        InvariantReport(depth=1, pdim=1, reg=0, ambient_vars=3, field=GF2)
 
 
 def test_size_cap():
