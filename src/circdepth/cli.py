@@ -527,7 +527,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "component": report.component_spec.to_string(),
             "component_name": report.component_spec.display_name(),
             "verified": True,
-            "witnesses": [dict(sorted(w.items())) for w in report.witness_isos],
+            "witnesses": report.witness_isos,
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:

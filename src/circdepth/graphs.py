@@ -744,49 +744,49 @@ class DecompositionReport:
     parity: str  # parity of 2n/t
     copy_count: int
     component_spec: CirculantSpec
-    witness_isos: tuple[dict[str, str], ...]  # component-spec label -> original label
+    # per copy, its checked closed-form map: component-spec label -> original label
+    witness_isos: tuple[dict[str, str], ...]
+
+
+def _check_copies(g: Graph, component: CirculantSpec, images: list[list[int]]) -> None:
+    """Raise DecompositionError unless ``images`` are exactly the components of ``g``.
+
+    ``images[j][i]`` is copy j's vertex for model vertex i.  Distinct, disjoint
+    images that carry every model edge, cover g and match its edge count are
+    connected unions of whole components: the components themselves.
+    """
+    size = component.num_vertices
+    covered: set[int] = set()
+    ok = len(images) * component.edge_count == g.edge_count
+    for image in images:
+        ok = ok and len(set(image)) == size and covered.isdisjoint(image) and all(
+            g.has_edge(image[i], image[(i + s) % size])
+            for i in range(size) for s in component.shifts)
+        covered.update(image)
+    if not ok or len(covered) != g.num_vertices:
+        raise DecompositionError(f"copies of {component.display_name()} are not the components")
 
 
 def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
     """Split the cubic circulant C_{2n}(a, n) into copies of one connected circulant.
 
-    The copies and the component are those of CubicCirculantSpec.split.  The
-    claim is validated against the built graph (component count and
-    per-component isomorphism witnesses); a failure raises DecompositionError.
-    Components with equal induced adjacency share one isomorphism search.  A
-    component above MAX_ISO_VERTICES raises IsomorphismSizeError before any
+    The copies and the component are those of CubicCirculantSpec.split.  With
+    ``size`` its vertex count, ``step = 2n / size`` and ``u = a / gcd(2n, a)``,
+    copy j maps model vertex i to ``j + step * (mult * i mod size)``: ``mult``
+    is u, plus size/2 when u is even (only in the odd case, C_2m(2, m), m odd),
+    an odd unit mod ``size`` that takes the model's shifts to the copy's.
+    The maps are checked edge by edge against the built graph (_check_copies).
+    A component above MAX_ISO_VERTICES raises IsomorphismSizeError before any
     graph is built.
     """
     spec = CubicCirculantSpec(n, a)  # validates n, a
     t, parity, copy_count, component_spec = spec.split()
-    _check_iso_size(component_spec.num_vertices)
+    size = component_spec.num_vertices
+    _check_iso_size(size)
     g = build_graph(spec)
-    comps = connected_components(g)
-    if len(comps) != copy_count:
-        raise DecompositionError(
-            f"C_{2*n}({a},{n}): expected {copy_count} components, found {len(comps)}"
-        )
-    model = build_graph(component_spec)
-    # The components are translates, so they share one positional adjacency
-    # tuple and one search answers them all; find_isomorphism reads nothing else.
-    isos: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    witnesses = []
-    for mask, comp in comps:
-        if comp.adjacency not in isos:
-            isos[comp.adjacency] = find_isomorphism(model, comp)
-        iso = isos[comp.adjacency]
-        if iso is None:
-            raise DecompositionError(
-                f"C_{2*n}({a},{n}): component not isomorphic to "
-                f"{component_spec.display_name()}"
-            )
-        witnesses.append({model.labels[i]: comp.labels[w] for i, w in enumerate(iso)})
-    return DecompositionReport(
-        n=n,
-        a=a,
-        t=t,
-        parity=parity,
-        copy_count=copy_count,
-        component_spec=component_spec,
-        witness_isos=tuple(witnesses),
-    )
+    step, u = 2 * n // size, a // t
+    mult = u if u % 2 else u + size // 2
+    images = [[j + step * (mult * i % size) for i in range(size)] for j in range(copy_count)]
+    _check_copies(g, component_spec, images)
+    witnesses = tuple(dict(zip(_x_labels(size), [g.labels[v] for v in im])) for im in images)
+    return DecompositionReport(n, a, t, parity, copy_count, component_spec, witnesses)

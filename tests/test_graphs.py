@@ -13,6 +13,7 @@ from circdepth.graphs import (
     CompleteSpec,
     CubicCirculantSpec,
     CycleSpec,
+    DecompositionError,
     GraphSpecError,
     IsomorphismSizeError,
     LadderSpec,
@@ -236,9 +237,9 @@ def test_davis_domke_report_invariants():
             assert sorted(witness) == sorted(comp.labels)
 
 
-def test_davis_domke_searches_once_per_decomposition(monkeypatch):
-    # the components are translates with one induced adjacency tuple, so one
-    # search serves them all, and each witness is the one a search would give
+def test_davis_domke_witnesses_are_checked_maps_onto_components(monkeypatch):
+    # the witnesses are closed-form maps, so no isomorphism search runs; each
+    # is a bijection onto a component of its own that carries every model edge
     real = graphs.find_isomorphism
     calls = []
 
@@ -249,16 +250,31 @@ def test_davis_domke_searches_once_per_decomposition(monkeypatch):
     monkeypatch.setattr(graphs, "find_isomorphism", counted)
     for n in range(2, 13):
         for a in range(1, n):
-            calls.clear()
             rep = davis_domke_decompose(n, a)
-            assert len(calls) == 1, (n, a)
+            g = build_graph(CubicCirculantSpec(n, a))
             model = build_graph(rep.component_spec)
-            comps = connected_components(build_graph(CubicCirculantSpec(n, a)))
-            expected = []
-            for _, comp in comps:
-                iso = real(model, comp)
-                expected.append({model.labels[i]: comp.labels[w] for i, w in enumerate(iso)})
-            assert list(rep.witness_isos) == expected, (n, a)
+            comp_labels = [frozenset(comp.labels) for _, comp in connected_components(g)]
+            images = [frozenset(w.values()) for w in rep.witness_isos]
+            assert sorted(images, key=sorted) == sorted(comp_labels, key=sorted), (n, a)
+            for witness in rep.witness_isos:
+                assert sorted(witness) == sorted(model.labels), (n, a)
+                assert len(set(witness.values())) == model.num_vertices, (n, a)
+                image = [g.index_of(witness[label]) for label in model.labels]
+                assert all(g.has_edge(image[u], image[v]) for u, v in model.edges()), (n, a)
+    assert calls == []
+
+
+def test_davis_domke_check_rejects_wrong_copies():
+    # C_20(2,10) is two copies of C_10(1,5), the even and the odd vertices
+    g = build_graph(CubicCirculantSpec(10, 2))
+    component = CirculantSpec(10, (1, 5))
+    images = [[j + 2 * i for i in range(10)] for j in range(2)]
+    graphs._check_copies(g, component, images)
+    swapped = [images[0][:], images[1]]
+    swapped[0][1], swapped[0][2] = swapped[0][2], swapped[0][1]
+    for bad in (swapped, [images[0], images[0]], [images[0]]):
+        with pytest.raises(DecompositionError, match="not the components"):
+            graphs._check_copies(g, component, bad)
 
 
 def _refined_colors_reference(g):
