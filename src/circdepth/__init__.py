@@ -30,7 +30,6 @@ from .graphs import (
     StarSpec,
     UnionSpec,
     build_graph,
-    connected_components,
     davis_domke_decompose,
     disjoint_union,
     find_isomorphism,

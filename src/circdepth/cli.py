@@ -167,7 +167,8 @@ SLOW_TIER_MIN = 16
 def _skipped_routes(num_vertices: int, routes: Collection[str], slow: bool) -> dict[str, str]:
     """Each route of ``routes`` that may not run on this many vertices, with why.
 
-    The formula route always may.  This is the one place the size caps are read.
+    The formula route always may.  This is where the CLI reads the size caps,
+    before any graph is built.
     """
     skipped = {}
     if "oracle" in routes:

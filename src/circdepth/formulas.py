@@ -102,22 +102,22 @@ class FormulaReport:
 
 
 def _from_depth(
-    nv: int, depth: int, source: str, sdepth: FormulaValue | None = None
+    spec: GraphSpec, depth: int, source: str, sdepth: FormulaValue | None = None
 ) -> FormulaReport:
-    """Exact depth on nv variables; Stanley depth is ``sdepth`` when given,
-    else exactly the depth."""
+    """Exact depth on the spec's vertex count of variables; Stanley depth is
+    ``sdepth`` when given, else exactly the depth."""
     return FormulaReport(
         depth=FormulaValue.exact(depth),
         sdepth=FormulaValue.exact(depth) if sdepth is None else sdepth,
         source=source,
-        ambient_vars=nv,
+        ambient_vars=spec.num_vertices,
     )
 
 
 def _path(spec: PathSpec) -> FormulaReport:
     q = spec.q
     d = ceil_div(q, 3)
-    return _from_depth(q, d, f"path q={q}: depth=sdepth=ceil(q/3)={d}")
+    return _from_depth(spec, d, f"path q={q}: depth=sdepth=ceil(q/3)={d}")
 
 
 def _cycle(spec: CycleSpec) -> FormulaReport:
@@ -129,7 +129,7 @@ def _cycle(spec: CycleSpec) -> FormulaReport:
     else:
         sdepth = FormulaValue.exact(d)
         tag = f"cycle q={q} [q%3={q % 3}]: depth=sdepth=ceil((q-1)/3)={d}"
-    return _from_depth(q, d, tag, sdepth)
+    return _from_depth(spec, d, tag, sdepth)
 
 
 def _ladder(spec: LadderSpec) -> FormulaReport:
@@ -150,10 +150,10 @@ def _ladder(spec: LadderSpec) -> FormulaReport:
             stag = f"sdepth in [{d},{ceil_div(n + 1, 2)}] (two-valued for even n)"
         # pdim = 2n - ceil(n/2) = floor(3n/2)
         source = f"ladder-A n={n}: depth=ceil(n/2)={d}; pdim=floor(3n/2); {stag}"
-        return _from_depth(2 * n, d, source, sdepth)
+        return _from_depth(spec, d, source, sdepth)
     if family == "B":
         d = ceil_div(n + 1, 2)
-        return _from_depth(2 * n + 1, d, f"ladder-B n={n}: depth=sdepth=ceil((n+1)/2)={d}")
+        return _from_depth(spec, d, f"ladder-B n={n}: depth=sdepth=ceil((n+1)/2)={d}")
     r = n % 4
     if (family, r) in (("C", 0), ("C", 3)):
         d = ceil_div(n, 2) + 1
@@ -164,9 +164,7 @@ def _ladder(spec: LadderSpec) -> FormulaReport:
     else:
         d = ceil_div(n + 1, 2)
         rule = "ceil((n+1)/2)"
-    return _from_depth(
-        2 * n + 2, d, f"ladder-{family} n={n} [n%4={r}]: depth=sdepth={rule}={d}"
-    )
+    return _from_depth(spec, d, f"ladder-{family} n={n} [n%4={r}]: depth=sdepth={rule}={d}")
 
 
 def _cubic_connected(chord: int, n: int) -> tuple[int, FormulaValue]:
@@ -216,7 +214,7 @@ def _cubic(spec: CubicCirculantSpec) -> FormulaReport:
         sdepth = FormulaValue.at_least(depth)
         stag = f"sdepth>={depth} (depth lower bound; additivity over {copies} copies)"
     source = f"cubic n={n},a={a} [{branch}]: depth={rule}={depth}; {stag}"
-    return _from_depth(2 * n, depth, source, sdepth)
+    return _from_depth(spec, depth, source, sdepth)
 
 
 def formula_for_spec(spec: GraphSpec) -> FormulaReport:
@@ -237,7 +235,7 @@ def formula_for_spec(spec: GraphSpec) -> FormulaReport:
     if isinstance(spec, (StarSpec, CompleteSpec)):
         if spec.q < 2:
             raise FormulaUnavailable("needs q >= 2")
-        return _from_depth(spec.q, 1, f"{spec.kind} q={spec.q}: depth=sdepth=1")
+        return _from_depth(spec, 1, f"{spec.kind} q={spec.q}: depth=sdepth=1")
     if isinstance(spec, LadderSpec):
         return _ladder(spec)
     if isinstance(spec, CubicCirculantSpec):
@@ -257,7 +255,7 @@ def formula_for_spec(spec: GraphSpec) -> FormulaReport:
         if len(parts) == 1:
             return parts[0]
         return _from_depth(
-            sum(p.ambient_vars for p in parts),
+            spec,
             sum(p.depth.value for p in parts),
             f"disjoint union of {len(parts)} parts: depth additive, sdepth superadditive",
             FormulaValue.at_least(sum(p.sdepth.lo for p in parts)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import ClassVar, Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union, get_args
 
 MAX_ISO_VERTICES = 24
 
@@ -27,8 +27,8 @@ class IsomorphismSizeError(ValueError):
 class DecompositionError(RuntimeError):
     """A structural decomposition failed to validate against the built graph.
 
-    Raised when the claimed component count or per-component isomorphisms do
-    not hold; this is a finding, not a user error.
+    Raised when the closed-form maps, one per copy, are not exactly the
+    components of the built graph; this is a finding, not a user error.
     """
 
 
@@ -114,7 +114,7 @@ def graph_from_edges(labels: Sequence[str], edges: Sequence[tuple[int, int]]) ->
 # vertex and edge counts in closed form, and its graph builder.
 # ``parse(kind, body)`` reads the text after ``kind:`` and returns None when
 # its shape is wrong.  Adding a family means writing one class and listing it
-# in GraphSpec and _SPEC_KINDS.
+# in GraphSpec, from which _SPEC_KINDS is read.
 # ---------------------------------------------------------------------------
 
 
@@ -330,13 +330,28 @@ class CubicCirculantSpec:
         return t, "odd", t // 2, CirculantSpec(2 * m, (2, m))
 
 
-def _ladder_edges(n: int) -> list[tuple[str, str]]:
-    # x1..xn bottom row, y1..yn top row, rung at every column
-    edges: list[tuple[str, str]] = []
-    for i in range(1, n):
-        edges += [(f"x{i}", f"y{i}"), (f"x{i}", f"x{i+1}"), (f"y{i}", f"y{i+1}")]
-    edges.append((f"x{n}", f"y{n}"))
-    return edges
+def _ladder(n: int, xs: int, ys: int, extra: Sequence[tuple[str, str]]) -> Graph:
+    """The ladder A_n on the labels x1..x_xs, y1..y_ys, plus the ``extra`` edges.
+
+    A_n is two n-vertex paths x1..xn and y1..yn joined by rungs xi-yi.  The
+    labels run x1..x_xs, then y1..y_ys, so a row longer than n holds the
+    vertices a supergraph adds; ``extra`` gives its edges as label pairs.
+    """
+    labels = _x_labels(xs) + [f"y{i}" for i in range(1, ys + 1)]
+    edges = [(i, xs + i) for i in range(n)]
+    edges += [(r + i, r + i + 1) for r in (0, xs) for i in range(n - 1)]
+    edges += [(labels.index(u), labels.index(v)) for u, v in extra]
+    return graph_from_edges(labels, edges)
+
+
+# Per ladder family, n -> (x row length, y row length, edges added to A_n);
+# B_0 is the single vertex y1.
+_LADDER_SHAPES = {
+    "A": lambda n: (n, n, []),
+    "B": lambda n: (n, n + 1, [(f"y{n}", f"y{n+1}")] if n else []),
+    "C": lambda n: (n, n + 2, [(f"y{n}", f"y{n+1}"), ("y1", f"y{n+2}")]),
+    "D": lambda n: (n + 1, n + 1, [(f"y{n}", f"y{n+1}"), ("x1", f"x{n+1}")]),
+}
 
 
 @dataclass(frozen=True)
@@ -347,7 +362,7 @@ class LadderSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.family not in ("A", "B", "C", "D"):
+        if self.family not in _LADDER_SHAPES:
             raise GraphSpecError("ladder family must be one of A, B, C, D")
         low = 0 if self.family == "B" else 1
         if self.n < low:
@@ -381,23 +396,7 @@ class LadderSpec:
         return max(self.num_vertices + self.n - 2, 0)
 
     def build(self) -> Graph:
-        family, n = self.family, self.n
-        if family == "B" and n == 0:
-            return graph_from_edges(["y1"], [])
-        labels = _x_labels(n) + [f"y{i}" for i in range(1, n + 1)]
-        edges = _ladder_edges(n)
-        if family == "B":
-            labels.append(f"y{n+1}")
-            edges.append((f"y{n}", f"y{n+1}"))
-        elif family == "C":
-            labels += [f"y{n+1}", f"y{n+2}"]
-            edges += [(f"y{n}", f"y{n+1}"), ("y1", f"y{n+2}")]
-        elif family == "D":
-            labels.insert(n, f"x{n+1}")
-            labels.append(f"y{n+1}")
-            edges += [(f"y{n}", f"y{n+1}"), ("x1", f"x{n+1}")]
-        index = {lab: i for i, lab in enumerate(labels)}
-        return graph_from_edges(labels, [(index[u], index[v]) for u, v in edges])
+        return _ladder(self.n, *_LADDER_SHAPES[self.family](self.n))
 
 
 @dataclass(frozen=True)
@@ -462,9 +461,8 @@ GraphSpec = Union[
 ]
 
 _SPEC_KINDS: dict[str, type] = {
-    **{cls.kind: cls for cls in (PathSpec, CycleSpec, StarSpec, CompleteSpec,
-                                 CirculantSpec, CubicCirculantSpec, UnionSpec)},
-    **{f"ladder{family}": LadderSpec for family in "ABCD"},
+    **{cls.kind: cls for cls in get_args(GraphSpec) if cls is not LadderSpec},
+    **{f"ladder{family}": LadderSpec for family in _LADDER_SHAPES},
 }
 
 
@@ -485,13 +483,6 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph(tuple(labels), tuple(adj))
 
 
-def _closed_ladder(n: int, closing: list[tuple[str, str]]) -> Graph:
-    """The ladder A_n with the ``closing`` edges added between its labels."""
-    a = LadderSpec("A", n).build()
-    added = [(a.index_of(u), a.index_of(v)) for u, v in closing]
-    return graph_from_edges(a.labels, a.edges() + added)
-
-
 def moebius_ladder(n: int) -> Graph:
     """The connected cubic circulant on 2n vertices with shifts {1, n}, in x/y labels.
 
@@ -501,7 +492,7 @@ def moebius_ladder(n: int) -> Graph:
     """
     if n < 2:
         raise GraphSpecError("moebius ladder needs n >= 2")
-    return _closed_ladder(n, [(f"x{n}", "y1"), (f"y{n}", "x1")])
+    return _ladder(n, n, n, [(f"x{n}", "y1"), (f"y{n}", "x1")])
 
 
 def prism(n: int) -> Graph:
@@ -513,7 +504,7 @@ def prism(n: int) -> Graph:
     """
     if n < 3:
         raise GraphSpecError("prism needs n >= 3")
-    return _closed_ladder(n, [(f"x{n}", "x1"), (f"y{n}", "y1")])
+    return _ladder(n, n, n, [(f"x{n}", "x1"), (f"y{n}", "y1")])
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +576,6 @@ def components_of_mask(adjacency: Sequence[int], mask: int) -> list[int]:
         comps.append(comp)
         remaining &= ~comp
     return comps
-
-
-def connected_components(g: Graph) -> list[tuple[int, Graph]]:
-    """Maximal connected pieces as (vertex mask, induced graph) pairs."""
-    full = (1 << g.num_vertices) - 1
-    return [(m, induced_subgraph(g, m)) for m in components_of_mask(g.adjacency, full)]
-
-
-def is_connected(g: Graph) -> bool:
-    if g.num_vertices == 0:
-        return True
-    full = (1 << g.num_vertices) - 1
-    return components_of_mask(g.adjacency, full)[0] == full
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, induced_subgraph, is_connected
+from .graphs import Graph, bits, components_of_mask, induced_subgraph
 
 @dataclass(frozen=True)
 class MonomialIdeal:
@@ -175,7 +175,8 @@ def colon_decomposition(
     to ascending vertex index; the summand list depends on it, the direct sum
     does not.
     """
-    if not is_connected(g):
+    full = (1 << g.num_vertices) - 1
+    if len(components_of_mask(g.adjacency, full)) > 1:
         raise ValueError("colon decomposition requires a connected graph")
     nbrs = sorted(bits(g.adjacency[pivot]))
     if not nbrs:
@@ -185,7 +186,6 @@ def colon_decomposition(
     elif sorted(order) != nbrs:
         raise ValueError("order must be a permutation of the pivot's neighborhood")
 
-    full = (1 << g.num_vertices) - 1
     summands = []
     earlier = 0
     for nb in order:

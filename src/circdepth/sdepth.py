@@ -316,20 +316,15 @@ def sdepth_exact(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     floor = max(floor, 0)
 
-    try:
-        base = find_partition(poset, floor, deadline)
-    except _Budget:
-        return SdepthResult(floor, False, None)
-    if base is None:
-        raise ValueError(f"claimed lower bound {floor} admits no interval partition")
-
-    value, witness = floor, base
-    for k in range(floor + 1, counting_bound(poset) + 1):
+    value, witness = floor, None
+    for k in range(floor, max(floor, counting_bound(poset)) + 1):
         try:
             part = find_partition(poset, k, deadline)
         except _Budget:
             return SdepthResult(value, False, witness)
         if part is None:
+            if k == floor:
+                raise ValueError(f"claimed lower bound {floor} admits no interval partition")
             break
         value, witness = k, part
     return SdepthResult(value, True, witness)

@@ -178,6 +178,19 @@ def test_union_composition():
     assert (rep.sdepth.lo, rep.sdepth.hi) == (4, None)  # a lower bound only
 
 
+def test_ambient_vars_are_the_spec_vertex_count():
+    # every family, the circulants read as paths, cycles and cubic forms, and unions
+    specs = [PathSpec(7), CycleSpec(7), StarSpec(5), CompleteSpec(4),
+             CirculantSpec(2, (1,)), CirculantSpec(9, (1,)), CirculantSpec(12, (4, 6)),
+             CubicCirculantSpec(6, 2), CubicCirculantSpec(7, 2)]
+    specs += [LadderSpec(f, n) for f in "ABCD" for n in range(f != "B", 6)]
+    specs += [UnionSpec((LadderSpec("B", 0), CycleSpec(5))),
+              UnionSpec((CubicCirculantSpec(4, 1), UnionSpec((PathSpec(3), LadderSpec("D", 2)))))]
+    for spec in specs:
+        assert formula_for_spec(spec).ambient_vars == spec.num_vertices, spec
+        assert spec.num_vertices == spec.build().num_vertices, spec
+
+
 @given(_specs)
 @settings(max_examples=200)
 def test_closed_forms_give_exact_depth_and_pdim(spec):

@@ -21,7 +21,7 @@ from circdepth.graphs import (
     StarSpec,
     UnionSpec,
     build_graph,
-    connected_components,
+    components_of_mask,
     davis_domke_decompose,
     find_isomorphism,
     graph_from_edges,
@@ -110,16 +110,56 @@ def test_cubic_circulants_are_3_regular():
             assert build_graph(CubicCirculantSpec(n, a)).degree_sequence() == (3,) * (2 * n)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(41))
 def test_ladder_vertex_edge_counts(n):
-    a = build_graph(LadderSpec("A", n))
-    assert (a.num_vertices, a.edge_count) == (2 * n, 3 * n - 2)
-    b = build_graph(LadderSpec("B", n))
-    assert (b.num_vertices, b.edge_count) == (2 * n + 1, 3 * n - 1)
-    c = build_graph(LadderSpec("C", n))
-    assert (c.num_vertices, c.edge_count) == (2 * n + 2, 3 * n)
-    d = build_graph(LadderSpec("D", n))
-    assert (d.num_vertices, d.edge_count) == (2 * n + 2, 3 * n)
+    want = {"A": (2 * n, 3 * n - 2), "B": (2 * n + 1, 3 * n - 1),
+            "C": (2 * n + 2, 3 * n), "D": (2 * n + 2, 3 * n)}
+    if n == 0:
+        want = {"B": (1, 0)}
+    for family, counts in want.items():
+        spec = LadderSpec(family, n)
+        g = build_graph(spec)
+        assert (g.num_vertices, g.edge_count) == counts, family
+        assert (spec.num_vertices, spec.edge_count) == counts, family
+
+
+def _reference_ladder(n, family):
+    """A ladder built from string edges, x row then y row: the reference for
+    the label order and edges of A_n..D_n and of A_n closed up ("M" for the
+    Moebius ladder, "P" for the prism)."""
+    if family == "B" and n == 0:
+        return ("y1",), set()
+    labels = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
+    edges = []
+    for i in range(1, n):
+        edges += [(f"x{i}", f"y{i}"), (f"x{i}", f"x{i+1}"), (f"y{i}", f"y{i+1}")]
+    edges.append((f"x{n}", f"y{n}"))
+    if family == "B":
+        labels.append(f"y{n+1}")
+        edges.append((f"y{n}", f"y{n+1}"))
+    elif family == "C":
+        labels += [f"y{n+1}", f"y{n+2}"]
+        edges += [(f"y{n}", f"y{n+1}"), ("y1", f"y{n+2}")]
+    elif family == "D":
+        labels.insert(n, f"x{n+1}")
+        labels.append(f"y{n+1}")
+        edges += [(f"y{n}", f"y{n+1}"), ("x1", f"x{n+1}")]
+    elif family == "M":
+        edges += [(f"x{n}", "y1"), (f"y{n}", "x1")]
+    elif family == "P":
+        edges += [(f"x{n}", "x1"), (f"y{n}", "y1")]
+    return tuple(labels), {frozenset(e) for e in edges}
+
+
+def test_ladder_shapes_match_the_reference():
+    # the solver is labeling-sensitive, so the label order is pinned too
+    cases = [(LadderSpec(f, n).build(), n, f) for f in "ABCD" for n in range(f != "B", 13)]
+    cases += [(moebius_ladder(n), n, "M") for n in range(2, 13)]
+    cases += [(prism(n), n, "P") for n in range(3, 13)]
+    for g, n, family in cases:
+        labels, edges = _reference_ladder(n, family)
+        assert g.labels == labels, (family, n)
+        assert {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()} == edges, (family, n)
 
 
 def test_ladder_degenerate_members():
@@ -131,18 +171,24 @@ def test_ladder_degenerate_members():
     assert b0.num_vertices == 1 and b0.edge_count == 0
 
 
+def _components(g):
+    """The connected components of ``g`` as induced subgraphs, original labels kept."""
+    full = (1 << g.num_vertices) - 1
+    return [induced_subgraph(g, m) for m in components_of_mask(g.adjacency, full)]
+
+
 def test_components_cubic_4_2():
-    comps = connected_components(build_graph(CubicCirculantSpec(4, 2)))
-    assert [c.num_vertices for _, c in comps] == [4, 4]
+    comps = _components(build_graph(CubicCirculantSpec(4, 2)))
+    assert [c.num_vertices for c in comps] == [4, 4]
 
 
 def test_components_path_and_union():
-    assert len(connected_components(build_graph(PathSpec(5)))) == 1
+    assert len(_components(build_graph(PathSpec(5)))) == 1
     g = build_graph(UnionSpec((PathSpec(2), PathSpec(3))))
-    comps = connected_components(g)
-    assert sorted(c.num_vertices for _, c in comps) == [2, 3]
+    comps = _components(g)
+    assert sorted(c.num_vertices for c in comps) == [2, 3]
     # original (prefixed) labels retained on the pieces
-    all_labels = {lab for _, c in comps for lab in c.labels}
+    all_labels = {lab for c in comps for lab in c.labels}
     assert all_labels == set(g.labels)
 
 
@@ -207,10 +253,10 @@ def test_cubic_split_matches_components():
         for a in range(1, n):
             spec = CubicCirculantSpec(n, a)
             _t, _parity, copies, component = spec.split()
-            comps = connected_components(build_graph(spec))
+            comps = _components(build_graph(spec))
             assert len(comps) == copies, (n, a)
             model = build_graph(component)
-            assert all(is_isomorphic(model, comp) for _, comp in comps), (n, a)
+            assert all(is_isomorphic(model, comp) for comp in comps), (n, a)
 
 
 def test_davis_domke_examples():
@@ -253,7 +299,7 @@ def test_davis_domke_witnesses_are_checked_maps_onto_components(monkeypatch):
             rep = davis_domke_decompose(n, a)
             g = build_graph(CubicCirculantSpec(n, a))
             model = build_graph(rep.component_spec)
-            comp_labels = [frozenset(comp.labels) for _, comp in connected_components(g)]
+            comp_labels = [frozenset(comp.labels) for comp in _components(g)]
             images = [frozenset(w.values()) for w in rep.witness_isos]
             assert sorted(images, key=sorted) == sorted(comp_labels, key=sorted), (n, a)
             for witness in rep.witness_isos:
@@ -395,7 +441,7 @@ def _kernel_cases():
     for n in range(2, 13):
         for a in range(1, n):
             model = build_graph(CubicCirculantSpec(n, a).split()[3])
-            for _, comp in connected_components(build_graph(CubicCirculantSpec(n, a))):
+            for comp in _components(build_graph(CubicCirculantSpec(n, a))):
                 yield "cubic", model, comp
                 yield "cubic", comp, _relabeled(comp, rng)
                 comps_by_size.setdefault(comp.num_vertices, []).append(comp)

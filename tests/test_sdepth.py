@@ -130,6 +130,20 @@ def test_floor_seed_and_contradiction():
         sdepth_exact(ideal, floor=7)
 
 
+def test_floor_at_the_counting_bound_is_exact(monkeypatch):
+    # K_5: the floor 1 is the counting bound, so one call certifies it
+    ideal = edge_ideal(build_graph(CompleteSpec(5)))
+    poset = char_poset(ideal)
+    assert counting_bound(poset) == 1
+    real, calls = sdepth.find_partition, []
+    monkeypatch.setattr(
+        sdepth, "find_partition", lambda p, k, deadline=None: calls.append(k) or real(p, k, deadline)
+    )
+    r = sdepth_exact(ideal, floor=1)
+    assert (r.value, r.is_exact, calls) == (1, True, [1])
+    assert validate_partition(poset, r.witness)
+
+
 def test_budget_exhaustion_returns_lower_bound():
     ideal = edge_ideal(build_graph(CubicCirculantSpec(7, 1)))
     r = sdepth_exact(ideal, time_budget=1e-9, floor=3)
