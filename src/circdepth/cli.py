@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Collection
 
@@ -59,25 +59,11 @@ class UsageError(ValueError):
     or a --max-n outside the tier."""
 
 
-@dataclass
-class VerificationRow:
-    """One table row; its fields, in order, are the CSV columns."""
-
-    family: str
-    params: str
-    depth_formula: str = ""
-    depth_oracle: str = ""
-    pdim_formula: str = ""
-    pdim_oracle: str = ""
-    sdepth_lo: str = ""
-    sdepth_hi: str = ""
-    sdepth_exact: str = ""
-    verdict: str = ""
-    theorem: str = ""
-    seconds: str = ""
-
-
-CSV_COLUMNS = tuple(f.name for f in fields(VerificationRow))
+# A table row is a dict of these cells; a cell a row does not set is "".
+CSV_COLUMNS = (
+    "family", "params", "depth_formula", "depth_oracle", "pdim_formula", "pdim_oracle",
+    "sdepth_lo", "sdepth_hi", "sdepth_exact", "verdict", "theorem", "seconds",
+)
 
 
 ALL_ROUTES = ("formula", "oracle", "sdepth")
@@ -285,11 +271,8 @@ def _render_invariants(args, spec, result: Evaluation, payload):
     if args.format == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.format == "csv":
-        row = VerificationRow(
-            spec.kind, spec.params(), **_evaluation_cells(result),
-            seconds=f"{payload['seconds']:.3f}",
-        )
-        return _rows_to_csv([row])
+        cells = _evaluation_cells(result)
+        return _rows_to_csv([_row(spec.kind, spec.params(), cells, payload["seconds"])])
     formula, oracle, solver = result.formula, result.oracle, result.solver
     lines = [
         f"graph {spec.to_string()} ({spec.display_name()}): "
@@ -331,10 +314,6 @@ class RowTask:
     family: str
     params: str
     check: Callable[[], dict[str, str]]
-
-
-def _invariant_cells(spec, routes, field, budget, oracle) -> dict[str, str]:
-    return _evaluation_cells(evaluate(spec, routes, field, budget, oracle))
 
 
 def _decomposition_cells(n, a) -> dict[str, str]:
@@ -385,7 +364,9 @@ def _verify_tasks(
         if skipped:
             notes.append(f"note: {family} {params} skipped: {'; '.join(skipped.values())}")
         else:
-            check = partial(_invariant_cells, spec, routes, field, budget, memo.invariants)
+            def check() -> dict[str, str]:
+                return _evaluation_cells(evaluate(spec, routes, field, budget, memo.invariants))
+
             tasks.append(RowTask(family, params, check))
 
     for kind, low in (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)):
@@ -430,16 +411,21 @@ def _verify_tasks(
     return tasks, notes
 
 
-def _run_row(task: RowTask) -> VerificationRow:
+def _row(family: str, params: str, cells: dict[str, str], seconds: float) -> dict[str, str]:
+    """A table row: every CSV column, in order, with "" for a cell ``cells`` leaves out."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(cells, family=family, params=params, seconds=f"{seconds:.3f}")
+    return row
+
+
+def _run_row(task: RowTask) -> dict[str, str]:
     """Run and time one row; a crashed row is reported as ERROR, and the table goes on."""
     t0 = time.perf_counter()
     try:
         cells = task.check()
     except Exception as exc:
         cells = {"verdict": "ERROR", "theorem": f"error: {exc}"}
-    return VerificationRow(
-        task.family, task.params, **cells, seconds=f"{time.perf_counter() - t0:.3f}"
-    )
+    return _row(task.family, task.params, cells, time.perf_counter() - t0)
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
@@ -455,8 +441,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     for note in notes:
         print(note, file=sys.stderr)
     rows = [_run_row(t) for t in tasks]
-    mismatches = sum(r.verdict == "MISMATCH" for r in rows)
-    errors = sum(r.verdict == "ERROR" for r in rows)
+    mismatches = sum(r["verdict"] == "MISMATCH" for r in rows)
+    errors = sum(r["verdict"] == "ERROR" for r in rows)
 
     if args.format == "csv":
         text = _rows_to_csv(rows)
@@ -465,7 +451,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
             {
                 "max_n": max_n,
                 "slow": slow,
-                "rows": [dict(zip(CSV_COLUMNS, _row_values(r))) for r in rows],
+                "rows": rows,
                 "mismatches": mismatches,
                 "errors": errors,
             },
@@ -476,14 +462,14 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         lines = []
         for r in rows:
             cells = [
-                f"{r.family} {r.params}:",
-                f"depth {r.depth_formula or '-'}/{r.depth_oracle or '-'}",
-                f"pdim {r.pdim_formula or '-'}/{r.pdim_oracle or '-'}",
+                f"{r['family']} {r['params']}:",
+                f"depth {r['depth_formula'] or '-'}/{r['depth_oracle'] or '-'}",
+                f"pdim {r['pdim_formula'] or '-'}/{r['pdim_oracle'] or '-'}",
             ]
-            if r.sdepth_lo or r.sdepth_exact:
-                hi = r.sdepth_hi if r.sdepth_hi else "inf"
-                cells.append(f"sdepth [{r.sdepth_lo},{hi}] exact={r.sdepth_exact or '-'}")
-            cells.append(r.verdict)
+            if r["sdepth_lo"] or r["sdepth_exact"]:
+                hi = r["sdepth_hi"] or "inf"
+                cells.append(f"sdepth [{r['sdepth_lo']},{hi}] exact={r['sdepth_exact'] or '-'}")
+            cells.append(r["verdict"])
             lines.append("  ".join(cells))
         lines.append(f"rows: {len(rows)}, mismatches: {mismatches}, errors: {errors}")
         text = "\n".join(lines) + "\n"
@@ -491,17 +477,12 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     return 1 if mismatches or errors else 0
 
 
-def _rows_to_csv(rows) -> str:
+def _rows_to_csv(rows: list[dict[str, str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(_row_values(r) for r in rows)
+    writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
-
-
-def _row_values(row: VerificationRow) -> list[str]:
-    """The row's cells in CSV_COLUMNS order, read directly: no deep copy."""
-    return [getattr(row, name) for name in CSV_COLUMNS]
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ class IsomorphismSizeError(ValueError):
 
 
 class DecompositionError(RuntimeError):
-    """A structural decomposition failed to validate against the built graph.
+    """A structural decomposition failed to validate against the edge rule.
 
     Raised when the closed-form maps, one per copy, are not exactly the
-    components of the built graph; this is a finding, not a user error.
+    components of C_2n(a, n), whose edges join vertices a or n apart mod 2n;
+    this is a finding, not a user error.
     """
 
 
@@ -99,8 +100,6 @@ def graph_from_edges(labels: Sequence[str], edges: Sequence[tuple[int, int]]) ->
     n = len(labels)
     adj = [0] * n
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(tuple(labels), tuple(adj))
@@ -726,22 +725,27 @@ class DecompositionReport:
     witness_isos: tuple[dict[str, str], ...]
 
 
-def _check_copies(g: Graph, component: CirculantSpec, images: list[list[int]]) -> None:
-    """Raise DecompositionError unless ``images`` are exactly the components of ``g``.
+def _check_copies(
+    spec: CubicCirculantSpec, component: CirculantSpec, images: list[list[int]]
+) -> None:
+    """Raise DecompositionError unless ``images`` are exactly the components of ``spec``.
 
-    ``images[j][i]`` is copy j's vertex for model vertex i.  Distinct, disjoint
-    images that carry every model edge, cover g and match its edge count are
-    connected unions of whole components: the components themselves.
+    ``images[j][i]`` is copy j's vertex for model vertex i.  Two vertices of
+    C_2n(a, n) are adjacent when they lie a, n or 2n - a apart mod 2n, the
+    rule _circulant builds from, so no graph is built.  Distinct, disjoint
+    images that carry every model edge, cover the 2n vertices and match the
+    3n edges are connected unions of whole components: the components themselves.
     """
-    size = component.num_vertices
+    q, size = spec.num_vertices, component.num_vertices
+    apart = {spec.a, spec.n, q - spec.a}
     covered: set[int] = set()
-    ok = len(images) * component.edge_count == g.edge_count
+    ok = len(images) * component.edge_count == spec.edge_count
     for image in images:
         ok = ok and len(set(image)) == size and covered.isdisjoint(image) and all(
-            g.has_edge(image[i], image[(i + s) % size])
+            (image[(i + s) % size] - image[i]) % q in apart
             for i in range(size) for s in component.shifts)
         covered.update(image)
-    if not ok or len(covered) != g.num_vertices:
+    if not ok or covered != set(range(q)):
         raise DecompositionError(f"copies of {component.display_name()} are not the components")
 
 
@@ -753,18 +757,17 @@ def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
     copy j maps model vertex i to ``j + step * (mult * i mod size)``: ``mult``
     is u, plus size/2 when u is even (only in the odd case, C_2m(2, m), m odd),
     an odd unit mod ``size`` that takes the model's shifts to the copy's.
-    The maps are checked edge by edge against the built graph (_check_copies).
-    A component above MAX_ISO_VERTICES raises IsomorphismSizeError before any
-    graph is built.
+    The maps are checked edge by edge against the edge rule of C_2n(a, n)
+    (_check_copies); no graph is built.  A component above MAX_ISO_VERTICES
+    raises IsomorphismSizeError.
     """
     spec = CubicCirculantSpec(n, a)  # validates n, a
     t, parity, copy_count, component_spec = spec.split()
     size = component_spec.num_vertices
     _check_iso_size(size)
-    g = build_graph(spec)
     step, u = 2 * n // size, a // t
     mult = u if u % 2 else u + size // 2
     images = [[j + step * (mult * i % size) for i in range(size)] for j in range(copy_count)]
-    _check_copies(g, component_spec, images)
-    witnesses = tuple(dict(zip(_x_labels(size), [g.labels[v] for v in im])) for im in images)
+    _check_copies(spec, component_spec, images)
+    witnesses = tuple(dict(zip(_x_labels(size), [f"x{v + 1}" for v in im])) for im in images)
     return DecompositionReport(n, a, t, parity, copy_count, component_spec, witnesses)

@@ -98,6 +98,8 @@ def test_invariants_csv_columns(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert tuple(rows[0]) == CSV_COLUMNS
     assert rows[1][0] == "path"
+    # one row, every cell under a column: a key outside CSV_COLUMNS would add a cell
+    assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 2
 
 
 @pytest.mark.parametrize(
@@ -193,6 +195,12 @@ def test_verify_paper_json_and_out_file(capsys, tmp_path):
     obj = json.loads(out_file.read_text())
     assert obj["mismatches"] == 0
     assert all(set(r) == set(CSV_COLUMNS) for r in obj["rows"])
+    # n = 3 reaches every row kind, the colon rows included
+    code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "3", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert {r["family"] for r in rows} >= {"path", "sdepth-path", "davis-domke", "colon-ladderA"}
+    assert all(set(r) == set(CSV_COLUMNS) for r in rows)
 
 
 def test_verify_paper_crashed_row_is_error(capsys, monkeypatch):
@@ -220,6 +228,8 @@ def test_verify_paper_crashed_row_is_error(capsys, monkeypatch):
     assert code == 1
     obj = json.loads(out)
     assert (obj["mismatches"], obj["errors"]) == (0, 2)
+    errors = [r for r in obj["rows"] if r["verdict"] == "ERROR"]
+    assert len(errors) == 2 and all(set(r) == set(CSV_COLUMNS) for r in errors)
     code, out, _ = run_cli(capsys, "verify-paper", "--max-n", "2")
     assert code == 1
     assert out.splitlines()[-1].endswith(", mismatches: 0, errors: 2")

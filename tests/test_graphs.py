@@ -312,15 +312,36 @@ def test_davis_domke_witnesses_are_checked_maps_onto_components(monkeypatch):
 
 def test_davis_domke_check_rejects_wrong_copies():
     # C_20(2,10) is two copies of C_10(1,5), the even and the odd vertices
-    g = build_graph(CubicCirculantSpec(10, 2))
+    spec = CubicCirculantSpec(10, 2)
     component = CirculantSpec(10, (1, 5))
     images = [[j + 2 * i for i in range(10)] for j in range(2)]
-    graphs._check_copies(g, component, images)
+    graphs._check_copies(spec, component, images)
     swapped = [images[0][:], images[1]]
     swapped[0][1], swapped[0][2] = swapped[0][2], swapped[0][1]
     for bad in (swapped, [images[0], images[0]], [images[0]]):
         with pytest.raises(DecompositionError, match="not the components"):
-            graphs._check_copies(g, component, bad)
+            graphs._check_copies(spec, component, bad)
+
+
+def test_davis_domke_builds_no_graph(monkeypatch):
+    # the maps are checked against the edge rule of C_2n(a, n), so no graph is
+    # built; C_32000(8000,16000) is 8,000 copies of the 4-cycle C_4(1,2)
+    def refuse(*args):
+        raise AssertionError("decompose built a graph")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)
+    monkeypatch.setattr(graphs, "graph_from_edges", refuse)
+    for n in range(2, 13):
+        for a in range(1, n):
+            assert davis_domke_decompose(n, a).copy_count == CubicCirculantSpec(n, a).split()[2]
+    rep = davis_domke_decompose(16000, 8000)
+    assert (rep.copy_count, rep.component_spec) == (8000, CirculantSpec(4, (1, 2)))
+    assert len({v for w in rep.witness_isos for v in w.values()}) == 32000
+
+
+def test_graph_from_edges_rejects_a_self_loop():
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        graph_from_edges(["a", "b"], [(1, 1)])
 
 
 def _refined_colors_reference(g):
