@@ -46,14 +46,21 @@ The simplicial rule runs at both levels: in the sum over subsets
 fold pair (u, w), u is isolated in H - N[w], a cone, so the vertex split at
 w always applies and gives Ind(H - w).  Both levels are memoised for one table.
 The rotation rule runs once, at the top of the sum (_HochsterSum.rotation_sum).
+
+Each sum Z(U) is one int with a 32-bit slot per (|sigma|, s), so the rules'
+products by x^k y^s are shifts and their sums and differences are int sums
+and differences.  That is exact because every coefficient is at most 3^q and
+because beta_{i,j} != 0 only when j <= 2i, so s <= q/2; the _HochsterSum
+docstring proves both.  A sum is unpacked into {(|sigma|, s): multiplicity}
+only for the table itself (_HochsterSum.terms).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import comb
 from typing import Iterator, Sequence
 
 from .graphs import (
@@ -313,27 +320,37 @@ def _connected_sets(
             yield comp, nbrs  # a connected C of size >= 2 lies inside its N(C)
 
 
-# Sums are kept as {(|sigma|, s): multiplicity}.
-SubsetSum = dict[tuple[int, int], int]
-
-
-def _add_product(
-    z: SubsetSum, factor: Sequence[tuple[int, int, int]], other: SubsetSum
-) -> None:
-    """z += factor * other, where factor lists (size, s, multiplicity) terms."""
-    for (j, r), mult in other.items():
-        for size, s, dim in factor:
-            key = (j + size, r + s)
-            z[key] = z.get(key, 0) + mult * dim
+# Bits per slot of a packed sum; _HochsterSum's docstring proves it enough
+# for every graph within ORACLE_VERTEX_CAP.  _HochsterSum.terms reads the
+# slots as C unsigned ints, so the two change together.
+_SLOT_BITS = 32
 
 
 class _HochsterSum:
     """Hochster's sum for one graph and field by the rules of the module docstring.
 
-    Z(U) is the sum over subsets sigma of U of the homology of Ind(G[sigma]),
-    kept as {(|sigma|, s): sum of dim H~_{s-1}}, with Z({}) = 1.  A term
-    x^k y^s of a product adds k to each size and s to each index.  The first
-    rule that applies to U gives Z(U):
+    Z(U) is the sum over subsets sigma of U of the homology of Ind(G[sigma]):
+    a polynomial whose coefficient of x^j y^s is the sum of
+    dim H~_{s-1}(Ind G[sigma]) over the j-subsets sigma, with Z({}) = 1.  It
+    is kept as one int, packed with the coefficient of x^j y^s in the
+    _SLOT_BITS-bit slot at bit offset (j W + s) _SLOT_BITS, where
+    W = q//2 + 1 slots make one row.  So a product with x^k y^s is a left
+    shift by k rows and s slots, and sums and differences of polynomials are
+    those of their ints.  Two facts make that exact:
+
+      * slot width: a coefficient of Z(U) is at most the sum over sigma <= U
+        of #faces(Ind G[sigma]) <= sum of 2^|sigma| = 3^|U| <= 3^q, and
+        3^20 < 2^32, so 32 bits hold every graph within ORACLE_VERTEX_CAP
+        (64 would hold q <= 40).  The rules below add only terms of the
+        final Z(U), each coefficientwise >= 0: every partial sum, and the
+        fold rule's difference, which sums over the subsets holding u, lies
+        coefficientwise between 0 and Z(U), so no slot carries or borrows;
+      * row width: the coefficient of x^j y^s in Z(U) is beta_{j-s,j} of
+        k[U]/I(G[U]).  That ideal is generated in degree 2, so by its Taylor
+        resolution beta_{i,j} != 0 only when j <= 2i, that is s <= j/2 <= q/2.
+        Hence s < W, and a shift never moves a term into the next row.
+
+    The first rule that applies to U gives Z(U):
 
       * a simplicial vertex v of G[U]: v stays simplicial in every G[sigma]
         that holds it, so such a sigma is a cone unless it holds a neighbour
@@ -351,9 +368,6 @@ class _HochsterSum:
 
             Z(U) = Z(U - u) + (1 + x) (Z(U - w) - Z(U - u - w));
 
-        the difference has no negative coefficient, and its zero ones are
-        not stored;
-
       * otherwise, by component transfer, splitting off the component C of
         the lowest vertex v of U gives
 
@@ -369,45 +383,52 @@ class _HochsterSum:
         self.graph = graph
         self.adjacency = graph.adjacency
         self.field = field
-        self.sums: dict[int, SubsetSum] = {0: {(0, 0): 1}}
+        self.width = graph.num_vertices // 2 + 1
+        self.row = self.width * _SLOT_BITS
+        self.sums: dict[int, int] = {0: 1}
         self.homology: dict[int, Homology] = {0: ((0, 1),)}  # Ind of the empty graph
 
-    def subset_sum(self, within: int) -> SubsetSum:
-        """Z(within); the dict is the memo's own, so callers must not change it."""
+    def subset_sum(self, within: int) -> int:
+        """Z(within), packed."""
         z = self.sums.get(within)
         if z is None:
-            adjacency = self.adjacency
+            adjacency, row = self.adjacency, self.row
             simplicial = _simplicial(adjacency, within)
             if simplicial is not None:
                 v, nbr = simplicial
-                z = dict(self.subset_sum(within ^ (1 << v)))
+                z = self.subset_sum(within ^ (1 << v))
                 for w in bits(nbr):
-                    t = (adjacency[w] & within).bit_count() - 1
-                    factor = [(2 + a, 1, comb(t, a)) for a in range(t + 1)]
                     rest = within & ~(adjacency[w] | 1 << w)
-                    _add_product(z, factor, self.subset_sum(rest))
+                    # x^2 y, then (1 + x) once for each other neighbour of w
+                    term = self.subset_sum(rest) << (2 * row + _SLOT_BITS)
+                    for _ in range((adjacency[w] & within).bit_count() - 1):
+                        term += term << row
+                    z += term
             elif (pair := _fold_pair(adjacency, within)) is not None:
                 u, w = (1 << v for v in pair)
-                z = dict(self.subset_sum(within ^ u))
-                with_u = dict(self.subset_sum(within ^ w))
-                for key, mult in self.subset_sum(within ^ u ^ w).items():
-                    with_u[key] -= mult
-                with_u = {key: mult for key, mult in with_u.items() if mult}
-                _add_product(z, [(0, 0, 1), (1, 0, 1)], with_u)
+                z = self.subset_sum(within ^ u)
+                d = self.subset_sum(within ^ w) - self.subset_sum(within ^ u ^ w)
+                z += d + (d << row)
             else:
                 low = within & -within
-                z = dict(self.subset_sum(within ^ low))
+                z = self.subset_sum(within ^ low)
                 for comp, closed in _connected_sets(adjacency, low, within):
                     h = self.induced_homology(comp)
                     if h:
-                        size = comp.bit_count()
-                        factor = [(size, s, dim) for s, dim in h]
-                        _add_product(z, factor, self.subset_sum(within & ~closed))
+                        rest = self.subset_sum(within & ~closed) << comp.bit_count() * row
+                        for s, dim in h:
+                            z += (rest if dim == 1 else dim * rest) << s * _SLOT_BITS
             self.sums[within] = z
         return z
 
-    def rotation_sum(self) -> SubsetSum:
-        """Z(V) of a graph that i -> i+1 (mod q) maps onto itself, q >= 1.
+    def terms(self, z: int) -> dict[tuple[int, int], int]:
+        """{(j, s): coefficient of x^j y^s} over the nonzero slots of a packed sum."""
+        slots = (self.graph.num_vertices + 1) * self.width
+        packed = memoryview(z.to_bytes(slots * _SLOT_BITS // 8, sys.byteorder)).cast("I")
+        return {divmod(k, self.width): mult for k, mult in enumerate(packed) if mult}
+
+    def rotation_sum(self) -> dict[tuple[int, int], int]:
+        """Z(V) of a graph that i -> i+1 (mod q) maps onto itself, q >= 1, as terms.
 
         By the rotation rule of the module docstring the terms of size
         j < q are q/(q - j) times those of Z(V - 0), and the terms of size q
@@ -415,8 +436,8 @@ class _HochsterSum:
         """
         q = self.graph.num_vertices
         full = (1 << q) - 1
-        z: SubsetSum = {}
-        for (j, s), mult in self.subset_sum(full ^ 1).items():
+        z: dict[tuple[int, int], int] = {}
+        for (j, s), mult in self.terms(self.subset_sum(full ^ 1)).items():
             z[(j, s)], rest = divmod(q * mult, q - j)
             if rest:
                 raise ArithmeticError(
@@ -500,7 +521,7 @@ def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:
     if q and _rotation_invariant(g.adjacency):
         z = oracle.rotation_sum()
     else:
-        z = oracle.subset_sum((1 << q) - 1)
+        z = oracle.terms(oracle.subset_sum((1 << q) - 1))
     beta = {(j - s, j): mult for (j, s), mult in z.items()}
     return BettiTable.from_dict(q, beta)
 

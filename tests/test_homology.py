@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,30 @@ _small_graphs = _graphs_up_to(9)
 @settings(max_examples=40, deadline=None)
 def test_oracle_matches_plain_hochster_sum(g):
     _assert_matches_reference(g, (GF2, GF32003, RATIONALS))
+
+
+@given(_graphs_up_to(10))
+@settings(max_examples=25, deadline=None)
+def test_betti_numbers_fit_the_packed_sum(g):
+    # _HochsterSum packs beta_{i,j} into slot j - i of row j, with q//2 + 1
+    # slots per row of 32 bits each: I(G) is generated in degree 2, so
+    # beta_{i,j} != 0 only for j <= 2i, and beta_{i,j} <= 3^q
+    for table in _hochster_reference(g, (GF2, RATIONALS)).values():
+        for (i, j), mult in table.entries:
+            assert j <= 2 * i
+            assert mult <= 3**g.num_vertices
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_perfect_matching_fills_the_last_slot_of_each_row(m):
+    # the m disjoint edges mK_2 have beta_{i,2i} = C(m, i) and nothing else,
+    # so every term sits at s = j/2, the widest row, up to the vertex cap
+    g = graph_from_edges(
+        [f"v{k+1}" for k in range(2 * m)], [(2 * k, 2 * k + 1) for k in range(m)]
+    )
+    want = BettiTable.from_dict(2 * m, {(i, 2 * i): comb(m, i) for i in range(m + 1)})
+    for field in (GF2, RATIONALS):
+        assert hochster_betti_table(g, field) == want
 
 
 def _forest(n, parents):
@@ -760,8 +785,12 @@ def _spy_connected_sets(mp):
     return withins, yielded
 
 
-def _table_from_sum(q, z):
-    return BettiTable.from_dict(q, {(j - s, j): mult for (j, s), mult in z.items()})
+def _table_from_sum(g, field):
+    """The table of Z(V), the packed sum over the whole vertex set, unpacked
+    by _HochsterSum.terms."""
+    oracle = _HochsterSum(g, field)
+    z = oracle.terms(oracle.subset_sum((1 << g.num_vertices) - 1))
+    return BettiTable.from_dict(g.num_vertices, {(j - s, j): mult for (j, s), mult in z.items()})
 
 
 @pytest.mark.parametrize("text, yielded", [("cubic:6:1", 141), ("cubic:10:1", 3330)])
@@ -791,12 +820,11 @@ def test_rotation_rule_matches_the_full_sum_on_circulants(spec):
     # set gives, and the plain Hochster sum's for q <= 9
     g = build_graph(spec)
     assert _rotation_invariant(g.adjacency)
-    full = (1 << g.num_vertices) - 1
     fields = (GF2, FieldSpec(3), RATIONALS)
     want = _hochster_reference(g, fields) if spec.q <= 9 else {}
     for field in fields:
         got = hochster_betti_table(g, field)
-        assert got == _table_from_sum(spec.q, _HochsterSum(g, field).subset_sum(full))
+        assert got == _table_from_sum(g, field)
         assert got == want.get(field, got)
 
 
@@ -829,7 +857,7 @@ def test_rotation_rule_near_misses_take_the_full_sum(monkeypatch, g, lists_whole
         got = hochster_betti_table(g, field)
         took = list(withins)
         withins.clear()
-        assert got == _table_from_sum(g.num_vertices, _HochsterSum(g, field).subset_sum(full))
+        assert got == _table_from_sum(g, field)
         assert took == withins
         assert (full in took) == lists_whole_set
 
