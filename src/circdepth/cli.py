@@ -44,7 +44,6 @@ from .homology import (
     RATIONALS,
     FieldSpec,
     InvariantReport,
-    OracleMemo,
     OracleSizeError,
     oracle_invariants,
 )
@@ -94,7 +93,7 @@ def evaluate(
     needs the spec alone.  Raises FormulaUnavailable when 'formula' is a route
     and the spec has no closed form.  Without the formula route the closed
     form, when there is one, still gives the sdepth solver its starting floor.
-    ``oracle`` answers the oracle route; verify-paper passes its run's memo.
+    ``oracle`` answers the oracle route; verify-paper passes its run's cache.
     """
     try:
         closed = formula_for_spec(spec) if {"formula", "sdepth"} & set(routes) else None
@@ -307,7 +306,7 @@ class RowTask:
     """One verify-paper row: ``check()`` returns its cells.
 
     ``check`` binds all the row reads: the spec, its routes, the field, the
-    budget and the run's oracle memo, or the graph of a colon row, or the n
+    budget and the run's oracle cache, or the graph of a colon row, or the n
     and a of a decomposition row.
     """
 
@@ -349,13 +348,13 @@ def _verify_tasks(
 
     A row is left out when _skipped_routes refuses one of its routes; its
     note names the row and gives the reasons.  The invariant rows run over
-    ``field`` with the solver ``budget`` and share one fresh oracle memo, so
-    the run computes each isomorphism class once and keeps nothing after it
-    ends.
+    ``field`` with the solver ``budget`` and share one fresh cache of
+    oracle_invariants, keyed by the graph and the field, so the run computes
+    each graph once and keeps nothing after it ends.
     """
     tasks: list[RowTask] = []
     notes: list[str] = []
-    memo = OracleMemo()
+    oracle = cache(oracle_invariants)
 
     def add(family: str, text: str, routes=ORACLE_ROUTES, params: str = "") -> None:
         spec = parse_graph_spec(text)
@@ -365,7 +364,7 @@ def _verify_tasks(
             notes.append(f"note: {family} {params} skipped: {'; '.join(skipped.values())}")
         else:
             def check() -> dict[str, str]:
-                return _evaluation_cells(evaluate(spec, routes, field, budget, memo.invariants))
+                return _evaluation_cells(evaluate(spec, routes, field, budget, oracle))
 
             tasks.append(RowTask(family, params, check))
 

@@ -83,9 +83,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(row.bit_count() for row in self.adjacency))
 

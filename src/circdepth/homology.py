@@ -63,14 +63,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Sequence
 
-from .graphs import (
-    Graph,
-    _refined_classes,
-    bits,
-    components_of_mask,
-    find_isomorphism,
-    induced_subgraph,
-)
+from .graphs import Graph, bits, components_of_mask, induced_subgraph
 from .ideals import edge_ideal, standard_supports
 
 ORACLE_VERTEX_CAP = 20
@@ -530,36 +523,3 @@ def oracle_invariants(g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
     """depth/pdim/reg of S/I(G), read off the Betti table."""
     table = hochster_betti_table(g, field)
     return InvariantReport(table.pdim, table.reg, table.ambient_vars, field)
-
-
-class OracleMemo:
-    """oracle_invariants that answers each isomorphism class once.
-
-    A graph whose adjacency tuple equals that of a graph already asked about,
-    over the same field, gets the stored report at once: the identity maps
-    one onto the other.  Any other graph gets a stored report only after
-    find_isomorphism maps the graph it was computed on onto ``g``.  Those
-    candidates are bucketed by an isomorphism invariant: the field, the edge
-    count and the sizes of the _refined_classes classes in their canonical
-    colour order, which also fix the vertex count.  A bucket holds only
-    candidates, and a poor key can cost a miss, never a wrong answer.
-    """
-
-    def __init__(self) -> None:
-        self._exact: dict[tuple[FieldSpec, tuple[int, ...]], InvariantReport] = {}
-        self._buckets: dict[tuple, list[tuple[Graph, InvariantReport]]] = {}
-
-    def invariants(self, g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
-        exact = (field, g.adjacency)
-        if exact in self._exact:
-            return self._exact[exact]
-        key = (field, g.edge_count, tuple(c.bit_count() for c in _refined_classes(g)))
-        bucket = self._buckets.setdefault(key, [])
-        for h, report in bucket:
-            if find_isomorphism(h, g) is not None:
-                break
-        else:
-            report = oracle_invariants(g, field)
-            bucket.append((g, report))
-        self._exact[exact] = report
-        return report

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -343,15 +344,15 @@ def test_unwritable_out_fails_before_any_row(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_paper_passes_the_field_to_each_row(capsys, monkeypatch):
-    # each invariant row's check binds the field; it reaches the oracle memo
+    # each invariant row's check binds the field; it reaches the oracle cache
     fields = []
-    real = homology.OracleMemo.invariants
+    real = cli.oracle_invariants
 
-    def invariants(self, g, field=GF32003):
+    def invariants(g, field=GF32003):
         fields.append(field)
-        return real(self, g, field)
+        return real(g, field)
 
-    monkeypatch.setattr(homology.OracleMemo, "invariants", invariants)
+    monkeypatch.setattr(cli, "oracle_invariants", invariants)
     code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "2", "--field", "2")
     assert code == 0
     assert fields and all(field is GF2 for field in fields)
@@ -542,38 +543,49 @@ def _count_oracle_runs(monkeypatch):
     return calls
 
 
-def test_verify_paper_runs_the_oracle_once_per_isomorphism_class(capsys, monkeypatch):
-    # 88 oracle requests at --max-n 5 fall into 41 isomorphism classes; the
-    # memo lives for one run, so a second run computes all 41 again
+def test_verify_paper_runs_the_oracle_once_per_graph(capsys, monkeypatch):
+    # 88 oracle requests at --max-n 5 ask about 47 distinct graphs; the cache
+    # lives for one run, so a second run computes all 47 again
     calls = _count_oracle_runs(monkeypatch)
     for _ in range(2):
         calls.clear()
         code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "5", "--format", "csv")
         assert code == 0
-        assert len(calls) == 41
+        assert len(calls) == 47
+        assert len(set(calls)) == 47
 
 
 def test_verify_paper_memo_counts(capsys, monkeypatch):
-    # of the 88 memo requests at --max-n 5, 41 compute.  42 of the 47 hits
-    # repeat an adjacency tuple already asked about and need no search; 5
-    # are found by find_isomorphism, which runs 11 times in all
-    counts = {"requests": 0, "oracle": 0, "search": 0}
+    # every oracle request is one evaluate call with the oracle route; the
+    # cache computes each (graph, field) once and never searches for an
+    # isomorphism
+    counts = {}
+    real_evaluate, real_oracle = cli.evaluate, cli.oracle_invariants
 
-    def counted(name, real):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-        return call
+    def evaluate(spec, routes, *args):
+        counts["requests"] += "oracle" in routes
+        return real_evaluate(spec, routes, *args)
 
-    monkeypatch.setattr(homology.OracleMemo, "invariants",
-                        counted("requests", homology.OracleMemo.invariants))
-    monkeypatch.setattr(homology, "oracle_invariants",
-                        counted("oracle", homology.oracle_invariants))
-    monkeypatch.setattr(homology, "find_isomorphism",
-                        counted("search", homology.find_isomorphism))
-    code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "5", "--format", "csv")
-    assert code == 0
-    assert counts == {"requests": 88, "oracle": 41, "search": 11}
+    def oracle(g, field):
+        counts["oracle"] += 1
+        return real_oracle(g, field)
+
+    def search(g, h):
+        raise AssertionError("verify-paper reached find_isomorphism")
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    monkeypatch.setattr(cli, "oracle_invariants", oracle)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("circdepth") and "find_isomorphism" in vars(mod):
+            monkeypatch.setattr(mod, "find_isomorphism", search)
+    for argv, requests, computed in (
+        (("--max-n", "5"), 88, 47),
+        (("--max-n", "8", "--slow"), 122, 77),
+    ):
+        counts.update(requests=0, oracle=0)
+        code, _, _ = run_cli(capsys, "verify-paper", *argv, "--format", "csv")
+        assert code == 0
+        assert counts == {"requests": requests, "oracle": computed}
 
 
 def test_invariants_never_reuses_an_oracle_answer(capsys, monkeypatch):

@@ -346,7 +346,7 @@ def test_graph_from_edges_rejects_a_self_loop():
 
 def _refined_colors_reference(g):
     """The colour refinement on sorted neighbour-colour tuples."""
-    colors = [g.degree(v) for v in range(g.num_vertices)]
+    colors = [g.adjacency[v].bit_count() for v in range(g.num_vertices)]
     while True:
         sigs = [
             (colors[v], tuple(sorted(colors[u] for u in graphs.bits(g.adjacency[v]))))

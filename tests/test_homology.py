@@ -21,7 +21,6 @@ from circdepth.graphs import (
     bits,
     build_graph,
     disjoint_union,
-    find_isomorphism,
     graph_from_edges,
     induced_subgraph,
     components_of_mask,
@@ -33,7 +32,6 @@ from circdepth.homology import (
     RATIONALS,
     BettiTable,
     FieldSpec,
-    OracleMemo,
     OracleSizeError,
     _HochsterSum,
     _fold_pair,
@@ -548,93 +546,6 @@ def test_table_is_invariant_under_relabeling(g, rng):
     relabeled = _relabeled(g, rng)
     for field in (GF2, RATIONALS):
         assert hochster_betti_table(relabeled, field) == hochster_betti_table(g, field)
-
-
-def _counting_oracle(mp):
-    """Patch hochster_betti_table to record its graphs; returns the record."""
-    calls = []
-    real = hom.hochster_betti_table
-
-    def counted(g, field=GF32003):
-        calls.append((g, field))
-        return real(g, field)
-
-    mp.setattr(hom, "hochster_betti_table", counted)
-    return calls
-
-
-@given(_small_graphs, st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_oracle_memo_answers_a_relabeling_from_its_witness(g, rng):
-    relabeled = _relabeled(g, rng)
-    want = oracle_invariants(relabeled, GF2)
-    memo = OracleMemo()
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_oracle(mp)
-        memo.invariants(g, GF2)
-        assert memo.invariants(relabeled, GF2) == want
-    assert calls == [(g, GF2)]
-
-
-@pytest.mark.parametrize(
-    "first, second",
-    [
-        (CubicCirculantSpec(5, 1), CubicCirculantSpec(5, 2)),
-        (LadderSpec("C", 4), LadderSpec("D", 4)),
-        (CubicCirculantSpec(8, 1), CubicCirculantSpec(8, 2)),
-    ],
-)
-def test_oracle_memo_computes_each_class_in_a_shared_bucket(monkeypatch, first, second):
-    # same vertex and edge counts and refined colours, but not isomorphic
-    # (ladderC:5 and ladderD:5 already differ in their refined colours)
-    g, h = build_graph(first), build_graph(second)
-    assert find_isomorphism(g, h) is None
-    want = [oracle_invariants(g, GF2), oracle_invariants(h, GF2)]
-    calls = _counting_oracle(monkeypatch)
-    memo = OracleMemo()
-    assert [memo.invariants(g, GF2), memo.invariants(h, GF2)] == want
-    assert len(memo._buckets) == 1
-    assert calls == [(g, GF2), (h, GF2)]
-    assert [memo.invariants(h, GF2), memo.invariants(g, GF2)] == want[::-1]
-    assert len(calls) == 2
-
-
-def test_oracle_memo_hits_equal_adjacency_without_a_search(monkeypatch):
-    # C_6 and two triangles share a bucket key but are not isomorphic; a
-    # relabeled C_6 needs one search, a repeated adjacency tuple none
-    c6 = build_graph(CycleSpec(6))
-    relabeled = graph_from_edges(
-        list(c6.labels), [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)]
-    )
-    triangles = build_graph(parse_graph_spec("union:(cycle:3;cycle:3)"))
-    assert relabeled.adjacency != c6.adjacency
-    want = oracle_invariants(triangles, GF2)
-    calls = _counting_oracle(monkeypatch)
-    searches = []
-    real = hom.find_isomorphism
-
-    def counted(g, h):
-        searches.append(h)
-        return real(g, h)
-
-    monkeypatch.setattr(hom, "find_isomorphism", counted)
-    memo = OracleMemo()
-    first = memo.invariants(c6, GF2)
-    assert memo.invariants(c6, GF2) == first and searches == []
-    assert memo.invariants(relabeled, GF2) == first and searches == [relabeled]
-    assert memo.invariants(relabeled, GF2) == first and len(searches) == 1
-    assert memo.invariants(triangles, GF2) == want
-    assert searches == [relabeled, triangles] and len(memo._buckets) == 1
-    assert calls == [(c6, GF2), (triangles, GF2)]
-
-
-def test_oracle_memo_keeps_fields_apart(monkeypatch):
-    g = build_graph(CubicCirculantSpec(4, 1))
-    calls = _counting_oracle(monkeypatch)
-    memo = OracleMemo()
-    for field in (GF2, RATIONALS, GF2, RATIONALS):
-        assert memo.invariants(g, field).field == field
-    assert calls == [(g, GF2), (g, RATIONALS)]
 
 
 @given(_small_graphs, st.data())
