@@ -29,7 +29,6 @@ from .graphs import (
     Graph,
     GraphSpec,
     GraphSpecError,
-    IsomorphismSizeError,
     LadderSpec,
     build_graph,
     davis_domke_decompose,
@@ -616,9 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (
-        GraphSpecError, IsomorphismSizeError, FormulaUnavailable, OracleSizeError, UsageError
-    ) as exc:
+    except (GraphSpecError, FormulaUnavailable, OracleSizeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -483,8 +483,9 @@ def moebius_ladder(n: int) -> Graph:
     """The connected cubic circulant on 2n vertices with shifts {1, n}, in x/y labels.
 
     Two n-paths x1..xn and y1..yn, rungs xi-yi, closed up by xn-y1 and yn-x1.
-    Isomorphic to build_graph(CubicCirculantSpec(n, 1)); this labeling is the
-    one the colon-decomposition fixtures pivot on.
+    The identity on vertex indices maps it onto build_graph(CubicCirculantSpec(n, 1)):
+    xi and yi are vertices i - 1 and n + i - 1, and the two adjacencies are
+    equal.  This labeling is the one the colon-decomposition fixtures pivot on.
     """
     if n < 2:
         raise GraphSpecError("moebius ladder needs n >= 2")
@@ -494,9 +495,10 @@ def moebius_ladder(n: int) -> Graph:
 def prism(n: int) -> Graph:
     """Two n-cycles x1..xn and y1..yn joined by rungs xi-yi.
 
-    For odd n this is the connected cubic circulant on 2n vertices with
-    shifts {2, n} (for even n that circulant is disconnected and is *not*
-    this graph).
+    For odd n this is the connected cubic circulant C_2n(2, n): xi maps to
+    vertex 2(i - 1) and yi to vertex 2(i - 1) + n mod 2n of
+    build_graph(CubicCirculantSpec(n, 2)), every edge to an edge (for even n
+    that circulant is disconnected and is *not* this graph).
     """
     if n < 3:
         raise GraphSpecError("prism needs n >= 3")
@@ -575,37 +577,28 @@ def components_of_mask(adjacency: Sequence[int], mask: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact isomorphism (colour refinement on class bitmasks + backtracking)
+# Exact isomorphism (colour refinement + backtracking)
 # ---------------------------------------------------------------------------
 
 
-def _refined_classes(g: Graph) -> list[int]:
-    """Colour classes of the stable refinement, as vertex bitmasks in colour order.
+def _refined_colours(g: Graph) -> list[int]:
+    """Per-vertex colours of the stable refinement that starts from the degrees.
 
-    The classes start as the degree classes, in increasing degree.  A round
-    gives each vertex the signature (its colour, its neighbour count in each
-    class), ``(adjacency & class_mask).bit_count()``, which carries the same
-    information as the sorted multiset of its neighbours' colours; the new
-    classes are the distinct signatures in sorted order.  The partition only
-    ever splits, so the rounds stop as soon as the number of classes stops
-    growing.
+    A round gives each vertex the signature (its colour, the sorted colours
+    of its neighbours); the new colours number the distinct signatures in
+    sorted order.  The rounds stop when no colour changes.
     """
-    adj = g.adjacency
-    by_degree: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    classes = [by_degree[d] for d in sorted(by_degree)]
+    colours = [row.bit_count() for row in g.adjacency]
     while True:
-        split: dict[tuple[int, tuple[int, ...]], int] = {}
-        for c, mask in enumerate(classes):
-            for v in bits(mask):
-                row = adj[v]
-                sig = (c, tuple((row & m).bit_count() for m in classes))
-                split[sig] = split.get(sig, 0) | 1 << v
-        if len(split) == len(classes):
-            return classes
-        classes = [split[sig] for sig in sorted(split)]
+        sigs = [
+            (colours[v], tuple(sorted(colours[u] for u in bits(row))))
+            for v, row in enumerate(g.adjacency)
+        ]
+        number = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [number[sig] for sig in sigs]
+        if new == colours:
+            return new
+        colours = new
 
 
 def _check_iso_size(num_vertices: int) -> None:
@@ -618,16 +611,16 @@ def _check_iso_size(num_vertices: int) -> None:
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """Edge-preserving bijection as a tuple mapping g-vertex -> h-vertex, or None.
 
-    Exact deterministic backtracking; both graphs must have at most
-    MAX_ISO_VERTICES vertices.  Both graphs are refined into colour classes
-    (bitmasks, see _refined_classes) and a g-vertex may only map into the h
-    class of its own colour.  The g-vertices are placed in a fixed order:
-    next is an unplaced vertex touching the placed region (any unplaced
-    vertex if none does), from the smallest class, then of the lowest index.
-    Each is tried on the unused h-vertices of its class that are adjacent to
-    the images of all its placed neighbours, in ascending order, and kept
-    when its edges to the used h-vertices are exactly those images.  The
-    mapping returned is the first complete one in that order.
+    A library reference checker; no command runs it.  Exact deterministic
+    backtracking; both graphs must have at most MAX_ISO_VERTICES vertices.
+    Both graphs are coloured by _refined_colours and a g-vertex may only map
+    onto an h-vertex of its own colour.  The g-vertices are placed in a fixed
+    order: next is an unplaced vertex adjacent to a placed one (any unplaced
+    vertex if none is), from the smallest colour class, then of the lowest
+    index.  Each is tried on the unused h-vertices of its colour in ascending
+    order, and kept when its edges to the used h-vertices are exactly the
+    images of its placed neighbours.  The mapping returned is the first
+    complete one in that order.
     """
     n = g.num_vertices
     _check_iso_size(max(n, h.num_vertices))
@@ -635,68 +628,41 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
         return None
     if g.degree_sequence() != h.degree_sequence():
         return None
-
-    g_classes = _refined_classes(g)
-    h_classes = _refined_classes(h)
-    sizes = [mask.bit_count() for mask in g_classes]
-    if sizes != [mask.bit_count() for mask in h_classes]:
+    g_colours, h_colours = _refined_colours(g), _refined_colours(h)
+    if sorted(g_colours) != sorted(h_colours):
         return None
+    h_by_colour: dict[int, list[int]] = {}
+    for w, c in enumerate(h_colours):
+        h_by_colour.setdefault(c, []).append(w)
 
-    # One level per g-vertex in search order: the vertex, the h class it may
-    # map into, and its neighbours placed before it.
-    levels: list[tuple[int, int, list[int]]] = []
-    full = (1 << n) - 1
-    placed = reach = 0  # reach: the neighbours of the placed region
-    while placed != full:
-        unplaced = full ^ placed
-        frontier = reach & unplaced or unplaced
-        _, v, colour = min(
-            (sizes[c], (m & -m).bit_length() - 1, c)
-            for c, mask in enumerate(g_classes)
-            if (m := frontier & mask)
-        )
-        levels.append((v, h_classes[colour], list(bits(g.adjacency[v] & placed))))
+    order: list[int] = []
+    placed = 0
+    while len(order) < n:
+        unplaced = [v for v in range(n) if not (placed >> v) & 1]
+        frontier = [v for v in unplaced if g.adjacency[v] & placed] or unplaced
+        v = min(frontier, key=lambda v: (len(h_by_colour[g_colours[v]]), v))
+        order.append(v)
         placed |= 1 << v
-        reach |= g.adjacency[v]
 
-    h_adj = h.adjacency
     mapping = [-1] * n
-    cands = [0] * n  # untried candidates per level, as an h-vertex bitmask
-    images = [0] * n  # images of the placed neighbours per level
-    used = 0
-    idx = 0
-    if n:
-        cands[0] = levels[0][1]  # the first vertex has no placed neighbour
-    while idx < n:
-        v, _, _ = levels[idx]
-        c = cands[idx]
-        image = images[idx]
-        while c:
-            low = c & -c
-            c ^= low
-            if h_adj[low.bit_length() - 1] & used == image:
-                break
-        else:  # level exhausted: undo the previous level's choice
-            idx -= 1
-            if idx < 0:
-                return None
-            used ^= 1 << mapping[levels[idx][0]]
-            continue
-        cands[idx] = c
-        mapping[v] = low.bit_length() - 1
-        used |= low
-        idx += 1
-        if idx < n:  # enter the next level
-            _, cls, earlier = levels[idx]
-            c = cls & ~used
-            image = 0
-            for u in earlier:
-                w = mapping[u]
-                image |= 1 << w
-                c &= h_adj[w]
-            cands[idx] = c
-            images[idx] = image
-    return tuple(mapping)
+
+    def extend(idx: int, used: int) -> bool:
+        if idx == n:
+            return True
+        v = order[idx]
+        image = 0  # the images of v's placed neighbours
+        for u in bits(g.adjacency[v]):
+            if mapping[u] >= 0:
+                image |= 1 << mapping[u]
+        for w in h_by_colour[g_colours[v]]:
+            if not (used >> w) & 1 and h.adjacency[w] & used == image:
+                mapping[v] = w
+                if extend(idx + 1, used | 1 << w):
+                    return True
+        mapping[v] = -1
+        return False
+
+    return tuple(mapping) if extend(0, 0) else None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -755,13 +721,12 @@ def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
     is u, plus size/2 when u is even (only in the odd case, C_2m(2, m), m odd),
     an odd unit mod ``size`` that takes the model's shifts to the copy's.
     The maps are checked edge by edge against the edge rule of C_2n(a, n)
-    (_check_copies); no graph is built.  A component above MAX_ISO_VERTICES
-    raises IsomorphismSizeError.
+    (_check_copies); no graph is built and no isomorphism is searched, so
+    the work is one map entry per vertex, whatever the component's size.
     """
     spec = CubicCirculantSpec(n, a)  # validates n, a
     t, parity, copy_count, component_spec = spec.split()
     size = component_spec.num_vertices
-    _check_iso_size(size)
     step, u = 2 * n // size, a // t
     mult = u if u % 2 else u + size // 2
     images = [[j + step * (mult * i % size) for i in range(size)] for j in range(copy_count)]

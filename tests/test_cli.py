@@ -443,25 +443,28 @@ def test_decompose_invalid_exits_2(capsys):
     assert "error" in err
 
 
-def test_decompose_component_too_large_exits_2(capsys):
-    # C_26(2,13) is one 26-vertex component, above the isomorphism search limit
-    code, out, err = run_cli(capsys, "decompose", "13", "2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "too large for exact isomorphism" in err
+def test_decompose_26_vertex_component(capsys):
+    # C_26(2,13) is one 26-vertex component, above the isomorphism search
+    # limit, which decompose does not use: its one witness is a closed-form map
+    code, out, _ = run_cli(capsys, "decompose", "13", "2", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["copy_count"], obj["component"]) == (1, "circulant:26:2,13")
+    assert [len(w) for w in obj["witnesses"]] == [26]
 
 
-def test_decompose_refuses_large_component_before_building(capsys, monkeypatch):
-    # C_40000(1,20000) took 4.7 s and 505 MB to be refused when it was built first
+def test_decompose_large_component_builds_no_graph(capsys, monkeypatch):
+    # C_40000(1,20000) is one 40,000-vertex component; its witness is checked
+    # against the edge rule, so no graph is built
     def no_graph(spec):
         raise AssertionError(f"built a graph for {spec.to_string()}")
 
     monkeypatch.setattr(graphs, "build_graph", no_graph)
-    for n, a in (("20000", "1"), ("13", "2")):
-        code, out, err = run_cli(capsys, "decompose", n, a)
-        assert (code, out, err) == (
-            2, "", "error: too large for exact isomorphism (limit 24 vertices)\n"
-        )
+    code, out, err = run_cli(capsys, "decompose", "20000", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["copy_count"] == 1
+    assert [len(w) for w in obj["witnesses"]] == [40000]
 
 
 def test_main_builds_one_parser_and_keeps_no_state(capsys, monkeypatch):
@@ -699,7 +702,6 @@ _GRAMMAR = (
         (["decompose", "4", "2", "--out", "{out}"],
          "cannot write --out {out}: No such file or directory"),
         (["decompose", "4", "4"], "cubic circulant needs 1 <= a < n"),
-        (["decompose", "13", "2"], "too large for exact isomorphism (limit 24 vertices)"),
     ],
 )
 def test_every_exit_2_path(capsys, tmp_path, argv, message):

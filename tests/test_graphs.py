@@ -1,7 +1,7 @@
 """Graph construction, components, isomorphism and the gcd-decomposition."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -344,80 +344,6 @@ def test_graph_from_edges_rejects_a_self_loop():
         graph_from_edges(["a", "b"], [(1, 1)])
 
 
-def _refined_colors_reference(g):
-    """The colour refinement on sorted neighbour-colour tuples."""
-    colors = [g.adjacency[v].bit_count() for v in range(g.num_vertices)]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in graphs.bits(g.adjacency[v]))))
-            for v in range(g.num_vertices)
-        ]
-        relabel = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [relabel[sig] for sig in sigs]
-        if new == colors:
-            return tuple(new)
-        colors = new
-
-
-def _find_isomorphism_reference(g, h):
-    """The list-based backtracking search, one h-vertex at a time."""
-    n = g.num_vertices
-    if n != h.num_vertices or g.edge_count != h.edge_count:
-        return None
-    if g.degree_sequence() != h.degree_sequence():
-        return None
-    gc = _refined_colors_reference(g)
-    hc = _refined_colors_reference(h)
-    if sorted(gc) != sorted(hc):
-        return None
-    h_by_color = {}
-    for w in range(n):
-        h_by_color.setdefault(hc[w], []).append(w)
-    order = []
-    placed = 0
-    while len(order) < n:
-        cand = [
-            v for v in range(n)
-            if not (placed >> v) & 1 and (g.adjacency[v] & placed or not order)
-        ]
-        if not cand:
-            cand = [v for v in range(n) if not (placed >> v) & 1]
-        v = min(cand, key=lambda v: (len(h_by_color[gc[v]]), v))
-        order.append(v)
-        placed |= 1 << v
-    mapping = [-1] * n
-    used = 0
-
-    def extend(idx):
-        nonlocal used
-        if idx == n:
-            return True
-        v = order[idx]
-        image_adj = 0
-        for u in graphs.bits(g.adjacency[v]):
-            if mapping[u] >= 0:
-                image_adj |= 1 << mapping[u]
-        for w in h_by_color[gc[v]]:
-            if (used >> w) & 1 or h.adjacency[w] & used != image_adj:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            if extend(idx + 1):
-                return True
-            mapping[v] = -1
-            used &= ~(1 << w)
-        return False
-
-    return tuple(mapping) if extend(0) else None
-
-
-def _partition(colors):
-    classes = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    return sorted(classes.values())
-
-
 def _relabeled(g, rng):
     perm = list(range(g.num_vertices))
     rng.shuffle(perm)
@@ -471,32 +397,58 @@ def _kernel_cases():
             yield "cubic", g, h
 
 
-def test_find_isomorphism_matches_the_reference_search():
-    # the bitmask kernel returns the reference search's exact mapping, or
-    # None, and its refinement reaches the reference's vertex partition
+def _is_isomorphism(iso, g, h):
+    """``iso`` is a bijection onto h's vertices that sends every g-edge to an h-edge."""
+    return (
+        sorted(iso) == list(range(h.num_vertices))
+        and g.edge_count == h.edge_count
+        and all(h.has_edge(iso[u], iso[v]) for u, v in g.edges())
+    )
+
+
+def test_find_isomorphism_maps_are_isomorphisms():
+    # every returned map is an isomorphism; relabelings always map and the
+    # other kinds give both answers
     seen = {}
     for kind, g, h in _kernel_cases():
-        want = _find_isomorphism_reference(g, h)
-        assert find_isomorphism(g, h) == want, (kind, g, h)
-        for x in (g, h):
-            classes = graphs._refined_classes(x)
-            assert sorted(list(graphs.bits(c)) for c in classes) == _partition(
-                _refined_colors_reference(x)
-            ), (kind, x)
-        seen.setdefault(kind, set()).add(want is None)
-    # relabelings always map; the other kinds give both answers
+        iso = find_isomorphism(g, h)
+        assert iso is None or _is_isomorphism(iso, g, h), (kind, g, h)
+        seen.setdefault(kind, set()).add(iso is None)
     assert seen["relabeling"] == {False} and seen["empty"] == {False}
     assert seen["same degrees"] == seen["cubic"] == seen["disconnected"] == {False, True}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_find_isomorphism_agrees_with_brute_force():
+    # up to 7 vertices every bijection can be tried: the search finds a map
+    # exactly when one of them carries the edge set of g onto that of h
+    rng = random.Random(31)
+    answers = set()
+    for _ in range(600):
+        n = rng.randint(0, 7)
+        g = random_graph(rng, n, rng.random())
+        h = _relabeled(g, rng) if rng.random() < 0.5 else random_graph(rng, n, rng.random())
+        g_edges, h_edges = g.edges(), set(h.edges())
+        want = any(
+            {tuple(sorted((p[u], p[v]))) for u, v in g_edges} == h_edges
+            for p in permutations(range(n))
+        )
+        assert (find_isomorphism(g, h) is not None) == want, (g, h)
+        answers.add(want)
+    assert answers == {False, True}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_moebius_form_matches_circulant(n):
-    assert is_isomorphic(moebius_ladder(n), build_graph(CubicCirculantSpec(n, 1)))
+    # the identity map: x_i is vertex i - 1 and y_i vertex n + i - 1 of both
+    assert moebius_ladder(n).adjacency == build_graph(CubicCirculantSpec(n, 1)).adjacency
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
 def test_prism_form_matches_circulant(n):
-    assert is_isomorphic(prism(n), build_graph(CubicCirculantSpec(n, 2)))
+    # x_i -> 2(i - 1) and y_i -> 2(i - 1) + n mod 2n, every edge to an edge
+    g, h = prism(n), build_graph(CubicCirculantSpec(n, 2))
+    iso = [2 * i for i in range(n)] + [(2 * i + n) % (2 * n) for i in range(n)]
+    assert _is_isomorphism(iso, g, h)
 
 
 def test_spec_grammar_round_trip():
