@@ -22,7 +22,6 @@ from .graphs import (
     CubicCirculantSpec,
     CycleSpec,
     DecompositionError,
-    DecompositionReport,
     Graph,
     GraphSpecError,
     LadderSpec,
@@ -46,10 +45,8 @@ from .homology import (
     RATIONALS,
     BettiTable,
     FieldSpec,
-    InvariantReport,
     OracleSizeError,
     hochster_betti_table,
-    oracle_invariants,
 )
 from .ideals import (
     ColonSummand,

@@ -41,10 +41,10 @@ from .homology import (
     GF32003,
     ORACLE_VERTEX_CAP,
     RATIONALS,
+    BettiTable,
     FieldSpec,
-    InvariantReport,
     OracleSizeError,
-    oracle_invariants,
+    hochster_betti_table,
 )
 from .ideals import edge_ideal, verify_colon_decomposition
 from .sdepth import POSET_VAR_CAP, SdepthResult, sdepth_exact
@@ -74,7 +74,7 @@ class Evaluation:
     """What the requested routes computed for one graph, and the verdict on it."""
 
     formula: FormulaReport | None
-    oracle: InvariantReport | None
+    oracle: BettiTable | None
     solver: SdepthResult | None
     verdict: str
 
@@ -84,7 +84,7 @@ def evaluate(
     routes: Collection[str],
     field: FieldSpec,
     budget: float | None,
-    oracle: Callable[[Graph, FieldSpec], InvariantReport] = oracle_invariants,
+    oracle: Callable[[Graph, FieldSpec], BettiTable] | None = None,
 ) -> Evaluation:
     """Run the routes ('formula', 'oracle', 'sdepth') on ``spec`` and compare them.
 
@@ -92,7 +92,8 @@ def evaluate(
     needs the spec alone.  Raises FormulaUnavailable when 'formula' is a route
     and the spec has no closed form.  Without the formula route the closed
     form, when there is one, still gives the sdepth solver its starting floor.
-    ``oracle`` answers the oracle route; verify-paper passes its run's cache.
+    ``oracle`` answers the oracle route; verify-paper passes its run's cache,
+    and without it hochster_betti_table answers, looked up at each call.
     """
     try:
         closed = formula_for_spec(spec) if {"formula", "sdepth"} & set(routes) else None
@@ -102,12 +103,12 @@ def evaluate(
         closed = None
     formula = closed if "formula" in routes else None
     g = build_graph(spec) if {"oracle", "sdepth"} & set(routes) else None
-    report = oracle(g, field) if "oracle" in routes else None
+    table = (oracle or hochster_betti_table)(g, field) if "oracle" in routes else None
     solver = None
     if "sdepth" in routes:
         floor = closed.sdepth.lo if closed is not None else 0
         solver = sdepth_exact(edge_ideal(g), time_budget=budget, floor=floor)
-    return Evaluation(formula, report, solver, _verdict(formula, report, solver))
+    return Evaluation(formula, table, solver, _verdict(formula, table, solver))
 
 
 def _solver_bounds(solver: SdepthResult) -> FormulaValue:
@@ -117,15 +118,15 @@ def _solver_bounds(solver: SdepthResult) -> FormulaValue:
 
 def _verdict(
     formula: FormulaReport | None,
-    oracle: InvariantReport | None,
+    oracle: BettiTable | None,
     solver: SdepthResult | None,
 ) -> str:
     """MISMATCH when two routes disagree, else match, or bounds-consistent when
     the formula and the solver agree on a Stanley depth range that is not exact.
 
-    Every closed form gives exact depth, and pdim follows from depth on both
-    reports, so depth is compared alone.  The formula's and the solver's
-    Stanley depth ranges must meet.
+    Every closed form gives exact depth, and pdim and depth determine each
+    other on both the closed form and the Betti table, so depth is compared
+    alone.  The formula's and the solver's Stanley depth ranges must meet.
     """
     mismatch = bounds_checked = False
     if formula is not None and oracle is not None:
@@ -212,9 +213,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     try:
         result = evaluate(spec, routes, field, args.budget_seconds)
     except FormulaUnavailable:
-        if args.method == "formula":
+        # with --method all the closed form is reported only when there is
+        # one; with no other route left there is nothing to report
+        if routes == {"formula"}:
             raise
-        # with --method all the closed form is reported only when there is one
         routes.discard("formula")
         result = evaluate(spec, routes, field, args.budget_seconds)
     seconds = round(time.perf_counter() - t0, 3)
@@ -283,7 +285,7 @@ def _render_invariants(args, spec, result: Evaluation, payload):
         )
     if oracle is not None:
         lines.append(
-            f"oracle[{oracle.field}]: depth={oracle.depth} pdim={oracle.pdim} "
+            f"oracle[{_FIELDS[args.field]}]: depth={oracle.depth} pdim={oracle.pdim} "
             f"reg={oracle.reg}"
         )
     if solver is not None:
@@ -305,8 +307,8 @@ class RowTask:
     """One verify-paper row: ``check()`` returns its cells.
 
     ``check`` binds all the row reads: the spec, its routes, the field, the
-    budget and the run's oracle cache, or the graph of a colon row, or the n
-    and a of a decomposition row.
+    budget and the run's oracle cache, or the graph of a colon row, or the
+    cubic circulant spec of a decomposition row.
     """
 
     family: str
@@ -314,16 +316,16 @@ class RowTask:
     check: Callable[[], dict[str, str]]
 
 
-def _decomposition_cells(n, a) -> dict[str, str]:
+def _decomposition_cells(spec: CubicCirculantSpec) -> dict[str, str]:
     """The gcd-decomposition check of C_2n(a, n)."""
     try:
-        report = davis_domke_decompose(n, a)
+        davis_domke_decompose(spec)
     except DecompositionError as exc:
         return {"verdict": "MISMATCH", "theorem": str(exc)}
+    _t, _parity, copy_count, component = spec.split()
     return {
         "verdict": "match",
-        "theorem": f"gcd-decomposition: {report.copy_count} x "
-        f"{report.component_spec.display_name()} verified",
+        "theorem": f"gcd-decomposition: {copy_count} x {component.display_name()} verified",
     }
 
 
@@ -348,12 +350,12 @@ def _verify_tasks(
     A row is left out when _skipped_routes refuses one of its routes; its
     note names the row and gives the reasons.  The invariant rows run over
     ``field`` with the solver ``budget`` and share one fresh cache of
-    oracle_invariants, keyed by the graph and the field, so the run computes
-    each graph once and keeps nothing after it ends.
+    hochster_betti_table, keyed by the graph and the field, so the run
+    computes each table once and keeps nothing after it ends.
     """
     tasks: list[RowTask] = []
     notes: list[str] = []
-    oracle = cache(oracle_invariants)
+    oracle = cache(hochster_betti_table)
 
     def add(family: str, text: str, routes=ORACLE_ROUTES, params: str = "") -> None:
         spec = parse_graph_spec(text)
@@ -382,8 +384,9 @@ def _verify_tasks(
             add("cubic", f"cubic:{n}:{a}")
     for n in range(2, max_n + 1):
         for a in range(1, n):
-            check = partial(_decomposition_cells, n, a)
-            tasks.append(RowTask("davis-domke", f"n={n},a={a}", check))
+            cubic = CubicCirculantSpec(n, a)
+            check = partial(_decomposition_cells, cubic)
+            tasks.append(RowTask("davis-domke", cubic.params(), check))
     for n in range(3, max_n + 1):
         colon = [
             ("ladderA", build_graph(LadderSpec("A", n)), f"y{n}"),
@@ -426,9 +429,13 @@ def _run_row(task: RowTask) -> dict[str, str]:
     return _row(task.family, task.params, cells, time.perf_counter() - t0)
 
 
+# verify-paper's largest --max-n, without and with --slow
+_MAX_N_LIMIT = {False: 7, True: 8}
+
+
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     max_n, slow = args.max_n, args.slow
-    limit = 8 if slow else 7
+    limit = _MAX_N_LIMIT[slow]
     if max_n > limit:
         tier = "slow" if slow else "default"
         raise UsageError(f"--max-n {max_n} exceeds the {tier} tier limit of {limit}")
@@ -489,32 +496,31 @@ def _rows_to_csv(rows: list[dict[str, str]]) -> str:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    n, a = args.n, args.a
-    CubicCirculantSpec(n, a)  # reject bad n, a before the --out check
+    spec = CubicCirculantSpec(args.n, args.a)  # reject bad n, a before the --out check
     _check_out(args.out)
     try:
-        report = davis_domke_decompose(n, a)
+        witnesses = davis_domke_decompose(spec)
     except DecompositionError as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return 1
+    t, parity, copy_count, component = spec.split()
     if args.format == "json":
         payload = {
-            "n": n,
-            "a": a,
-            "t": report.t,
-            "parity": report.parity,
-            "copy_count": report.copy_count,
-            "component": report.component_spec.to_string(),
-            "component_name": report.component_spec.display_name(),
+            "n": spec.n,
+            "a": spec.a,
+            "t": t,
+            "parity": parity,
+            "copy_count": copy_count,
+            "component": component.to_string(),
+            "component_name": component.display_name(),
             "verified": True,
-            "witnesses": report.witness_isos,
+            "witnesses": witnesses,
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = (
-            f"C_{2*n}({a},{n}) = {report.copy_count} × "
-            f"{report.component_spec.display_name()} "
-            f"[t={report.t}, 2n/t {report.parity}], verified\n"
+            f"{spec.display_name()} = {copy_count} × {component.display_name()} "
+            f"[t={t}, 2n/t {parity}], verified\n"
         )
     _emit(text, args.out)
     return 0
@@ -589,13 +595,18 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--field", choices=tuple(_FIELDS), default="32003")
     inv.add_argument("--format", choices=("text", "json", "csv"), default="text")
     inv.add_argument("--budget-seconds", type=_budget_seconds, default=None)
-    inv.add_argument("--slow", action="store_true", help="allow 16-20 vertex oracle runs")
+    slow_tier = f"{SLOW_TIER_MIN}-{ORACLE_VERTEX_CAP} vertex oracle runs"
+    inv.add_argument("--slow", action="store_true", help=f"allow {slow_tier}")
     inv.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify-paper", help="run the whole verification table")
     ver.set_defaults(run=cmd_verify_paper)
     ver.add_argument("--max-n", type=int, default=5)
-    ver.add_argument("--slow", action="store_true")
+    ver.add_argument(
+        "--slow",
+        action="store_true",
+        help=f"allow {slow_tier} and --max-n up to {_MAX_N_LIMIT[True]}",
+    )
     ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     ver.add_argument("--field", choices=tuple(_FIELDS), default="32003")
     ver.add_argument("--budget-seconds", type=_budget_seconds, default=None)

@@ -674,20 +674,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """gcd-decomposition of a cubic circulant into isomorphic connected pieces."""
-
-    n: int
-    a: int
-    t: int
-    parity: str  # parity of 2n/t
-    copy_count: int
-    component_spec: CirculantSpec
-    # per copy, its checked closed-form map: component-spec label -> original label
-    witness_isos: tuple[dict[str, str], ...]
-
-
 def _check_copies(
     spec: CubicCirculantSpec, component: CirculantSpec, images: list[list[int]]
 ) -> None:
@@ -712,24 +698,24 @@ def _check_copies(
         raise DecompositionError(f"copies of {component.display_name()} are not the components")
 
 
-def davis_domke_decompose(n: int, a: int) -> DecompositionReport:
-    """Split the cubic circulant C_{2n}(a, n) into copies of one connected circulant.
+def davis_domke_decompose(spec: CubicCirculantSpec) -> tuple[dict[str, str], ...]:
+    """Map each copy of the connected circulant that C_{2n}(a, n) splits into.
 
-    The copies and the component are those of CubicCirculantSpec.split.  With
-    ``size`` its vertex count, ``step = 2n / size`` and ``u = a / gcd(2n, a)``,
-    copy j maps model vertex i to ``j + step * (mult * i mod size)``: ``mult``
-    is u, plus size/2 when u is even (only in the odd case, C_2m(2, m), m odd),
-    an odd unit mod ``size`` that takes the model's shifts to the copy's.
-    The maps are checked edge by edge against the edge rule of C_2n(a, n)
-    (_check_copies); no graph is built and no isomorphism is searched, so
-    the work is one map entry per vertex, whatever the component's size.
+    The copies and the component are those of ``spec.split()``; the result
+    holds, per copy, its checked closed-form map from component-spec labels
+    to labels of ``spec``.  With ``size`` the component's vertex count,
+    ``step = 2n / size`` and ``u = a / gcd(2n, a)``, copy j maps model vertex
+    i to ``j + step * (mult * i mod size)``: ``mult`` is u, plus size/2 when
+    u is even (only in the odd case, C_2m(2, m), m odd), an odd unit mod
+    ``size`` that takes the model's shifts to the copy's.  The maps are
+    checked edge by edge against the edge rule of C_2n(a, n) (_check_copies);
+    no graph is built and no isomorphism is searched, so the work is one map
+    entry per vertex, whatever the component's size.
     """
-    spec = CubicCirculantSpec(n, a)  # validates n, a
-    t, parity, copy_count, component_spec = spec.split()
+    t, _parity, copy_count, component_spec = spec.split()
     size = component_spec.num_vertices
-    step, u = 2 * n // size, a // t
+    step, u = spec.num_vertices // size, spec.a // t
     mult = u if u % 2 else u + size // 2
     images = [[j + step * (mult * i % size) for i in range(size)] for j in range(copy_count)]
     _check_copies(spec, component_spec, images)
-    witnesses = tuple(dict(zip(_x_labels(size), [f"x{v + 1}" for v in im])) for im in images)
-    return DecompositionReport(n, a, t, parity, copy_count, component_spec, witnesses)
+    return tuple(dict(zip(_x_labels(size), [f"x{v + 1}" for v in im])) for im in images)

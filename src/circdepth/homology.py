@@ -105,7 +105,11 @@ RATIONALS = FieldSpec(0)
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Nonzero beta_{i,j} multiplicities of S/I(G)."""
+    """Nonzero beta_{i,j} multiplicities of S/I(G).
+
+    ``pdim`` and ``reg`` are read off the entries; ``depth`` follows from pdim
+    by Auslander-Buchsbaum, depth = ambient_vars - pdim.
+    """
 
     ambient_vars: int
     entries: tuple[tuple[tuple[int, int], int], ...]
@@ -128,20 +132,6 @@ class BettiTable:
     @property
     def reg(self) -> int:
         return max(j - i for (i, j), _m in self.entries)
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """pdim/reg/depth of one quotient ring, with the field they were computed over.
-
-    ``pdim`` and ``reg`` are stored, as read off the Betti table; ``depth`` is
-    derived by Auslander-Buchsbaum, depth = ambient_vars - pdim.
-    """
-
-    pdim: int
-    reg: int
-    ambient_vars: int
-    field: FieldSpec
 
     @property
     def depth(self) -> int:
@@ -518,8 +508,3 @@ def hochster_betti_table(g: Graph, field: FieldSpec = GF32003) -> BettiTable:
     beta = {(j - s, j): mult for (j, s), mult in z.items()}
     return BettiTable.from_dict(q, beta)
 
-
-def oracle_invariants(g: Graph, field: FieldSpec = GF32003) -> InvariantReport:
-    """depth/pdim/reg of S/I(G), read off the Betti table."""
-    table = hochster_betti_table(g, field)
-    return InvariantReport(table.pdim, table.reg, table.ambient_vars, field)

@@ -112,10 +112,11 @@ def test_criterion_3_davis_domke_structural():
     checked = 0
     for n in range(2, 9):
         for a in range(1, n):
-            report = davis_domke_decompose(n, a)  # raises on any failure
-            comp = build_graph(report.component_spec)
-            assert report.copy_count * comp.num_vertices == 2 * n
-            assert len(report.witness_isos) == report.copy_count
+            spec = CubicCirculantSpec(n, a)
+            witnesses = davis_domke_decompose(spec)  # raises on any failure
+            _t, _parity, copies, component = spec.split()
+            assert copies * build_graph(component).num_vertices == 2 * n
+            assert len(witnesses) == copies
             checked += 1
     assert checked == 28
     _passed(3, "gcd-decomposition verification", f"{checked} cases, n<=8, zero failures")

@@ -8,10 +8,10 @@ import sys
 
 import pytest
 
-from circdepth import cli, graphs, homology, ideals
+from circdepth import cli, graphs, ideals
 from circdepth.cli import CSV_COLUMNS, _verdict, main
 from circdepth.formulas import FormulaReport, FormulaValue
-from circdepth.homology import GF2, GF32003, InvariantReport
+from circdepth.homology import GF2, GF32003, BettiTable
 from circdepth.sdepth import SdepthResult
 
 
@@ -346,13 +346,13 @@ def test_unwritable_out_fails_before_any_row(capsys, monkeypatch, tmp_path):
 def test_verify_paper_passes_the_field_to_each_row(capsys, monkeypatch):
     # each invariant row's check binds the field; it reaches the oracle cache
     fields = []
-    real = cli.oracle_invariants
+    real = cli.hochster_betti_table
 
-    def invariants(g, field=GF32003):
+    def table(g, field=GF32003):
         fields.append(field)
         return real(g, field)
 
-    monkeypatch.setattr(cli, "oracle_invariants", invariants)
+    monkeypatch.setattr(cli, "hochster_betti_table", table)
     code, _, _ = run_cli(capsys, "verify-paper", "--max-n", "2", "--field", "2")
     assert code == 0
     assert fields and all(field is GF2 for field in fields)
@@ -535,14 +535,16 @@ def test_verify_paper_ignores_circ_threads(capsys, monkeypatch, env):
 
 
 def _count_oracle_runs(monkeypatch):
+    # cli looks hochster_betti_table up at each call, so a patch there sees
+    # every oracle run
     calls = []
-    real = homology.hochster_betti_table
+    real = cli.hochster_betti_table
 
-    def counted(g, field=homology.GF32003):
+    def counted(g, field=GF32003):
         calls.append(g)
         return real(g, field)
 
-    monkeypatch.setattr(homology, "hochster_betti_table", counted)
+    monkeypatch.setattr(cli, "hochster_betti_table", counted)
     return calls
 
 
@@ -563,7 +565,7 @@ def test_verify_paper_memo_counts(capsys, monkeypatch):
     # cache computes each (graph, field) once and never searches for an
     # isomorphism
     counts = {}
-    real_evaluate, real_oracle = cli.evaluate, cli.oracle_invariants
+    real_evaluate, real_oracle = cli.evaluate, cli.hochster_betti_table
 
     def evaluate(spec, routes, *args):
         counts["requests"] += "oracle" in routes
@@ -577,7 +579,7 @@ def test_verify_paper_memo_counts(capsys, monkeypatch):
         raise AssertionError("verify-paper reached find_isomorphism")
 
     monkeypatch.setattr(cli, "evaluate", evaluate)
-    monkeypatch.setattr(cli, "oracle_invariants", oracle)
+    monkeypatch.setattr(cli, "hochster_betti_table", oracle)
     for name, mod in list(sys.modules.items()):
         if name.startswith("circdepth") and "find_isomorphism" in vars(mod):
             monkeypatch.setattr(mod, "find_isomorphism", search)
@@ -603,10 +605,14 @@ def _report(depth, sdepth, nvars):
     return FormulaReport(depth=depth, sdepth=sdepth, source="synthetic", ambient_vars=nvars)
 
 
+def _table(pdim, nvars):
+    """A Betti table with this pdim, so depth nvars - pdim."""
+    return BettiTable.from_dict(nvars, {(0, 0): 1, (pdim, pdim + 1): 1})
+
+
 def test_verdict_logic():
     exact = _report(FormulaValue.exact(2), FormulaValue.exact(2), 5)
-    good = InvariantReport(pdim=3, reg=1, ambient_vars=5, field=GF32003)
-    off = InvariantReport(pdim=2, reg=1, ambient_vars=5, field=GF32003)
+    good, off = _table(3, 5), _table(2, 5)
     assert _verdict(exact, good, None) == "match"
     assert _verdict(exact, off, None) == "MISMATCH"
 
@@ -661,9 +667,7 @@ def test_verdict_range_rule_matches_the_branchy_rule():
         for v in range(6)
         for exact in (True, False)
     ]
-    oracles = [None] + [
-        InvariantReport(pdim=6 - d, reg=1, ambient_vars=6, field=GF32003) for d in range(7)
-    ]
+    oracles = [None] + [_table(6 - d, 6) for d in range(7)]
     cases = [(f, o, s) for f in formulas for o in oracles for s in solvers]
     assert len(cases) == 19 * 8 * 13
     assert [_verdict(*c) for c in cases] == [_branchy_verdict(*c) for c in cases]
@@ -709,6 +713,29 @@ def test_every_exit_2_path(capsys, tmp_path, argv, message):
     argv = [arg.replace("{out}", out) for arg in argv]
     expected = (2, "", f"error: {message.replace('{out}', out)}\n")
     assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "q, oracle_note",
+    [
+        (16, "16 vertices is in the slow tier (16-20); pass --slow to run it"),
+        (30, "30 vertices exceeds the oracle hard cap of 20; use --method formula "
+             "for family members"),
+    ],
+)
+def test_invariants_all_with_no_route_left_exits_2(capsys, q, oracle_note):
+    # C_q(1,3) has no closed form, and its size skips the oracle and the
+    # solver: no route is left to answer, so the request is refused after
+    # the notes instead of printing a verdict on nothing
+    code, out, err = run_cli(
+        capsys, "invariants", "--graph", f"circulant:{q}:1,3", "--method", "all"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"note: oracle skipped: {oracle_note}\n"
+        f"note: sdepth solver skipped: {q} variables exceeds the sdepth solver cap of 14\n"
+        f"error: no closed form for circulant q={q}, shifts=(1, 3)\n"
+    )
 
 
 def test_verify_paper_budget_reaches_every_sdepth_row(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from circdepth.graphs import (
     build_graph,
     parse_graph_spec,
 )
-from circdepth.homology import GF2, oracle_invariants
+from circdepth.homology import GF2, hochster_betti_table
 
 from test_graphs import _specs
 
@@ -204,7 +204,7 @@ def test_closed_forms_give_exact_depth_and_pdim(spec):
     except FormulaUnavailable:
         return
     assert rep.depth.is_exact and rep.pdim.is_exact
-    oracle = oracle_invariants(build_graph(spec), GF2)
+    oracle = hochster_betti_table(build_graph(spec), GF2)
     assert (rep.depth.value, rep.pdim.value) == (oracle.depth, oracle.pdim)
 
 

@@ -260,26 +260,26 @@ def test_cubic_split_matches_components():
 
 
 def test_davis_domke_examples():
-    rep = davis_domke_decompose(4, 2)
-    assert (rep.t, rep.parity, rep.copy_count) == (2, "even", 2)
-    assert rep.component_spec == CirculantSpec(4, (1, 2))
-
-    rep = davis_domke_decompose(5, 2)
-    assert (rep.t, rep.parity, rep.copy_count) == (2, "odd", 1)
-    assert rep.component_spec == CirculantSpec(10, (2, 5))
-
-    rep = davis_domke_decompose(3, 1)
-    assert (rep.t, rep.parity, rep.copy_count) == (1, "even", 1)
-    assert rep.component_spec == CirculantSpec(6, (1, 3))
+    for n, a, split in [
+        (4, 2, (2, "even", 2, CirculantSpec(4, (1, 2)))),
+        (5, 2, (2, "odd", 1, CirculantSpec(10, (2, 5)))),
+        (3, 1, (1, "even", 1, CirculantSpec(6, (1, 3)))),
+    ]:
+        spec = CubicCirculantSpec(n, a)
+        assert spec.split() == split
+        assert len(davis_domke_decompose(spec)) == split[2]
 
 
 def test_davis_domke_report_invariants():
+    # one map per copy of the split's component, each on its labels
     for n, a in [(4, 2), (6, 3), (6, 4), (8, 2)]:
-        rep = davis_domke_decompose(n, a)
-        comp = build_graph(rep.component_spec)
-        assert rep.copy_count * comp.num_vertices == 2 * n
-        assert len(rep.witness_isos) == rep.copy_count
-        for witness in rep.witness_isos:
+        spec = CubicCirculantSpec(n, a)
+        _t, _parity, copies, component = spec.split()
+        comp = build_graph(component)
+        witnesses = davis_domke_decompose(spec)
+        assert copies * comp.num_vertices == 2 * n
+        assert len(witnesses) == copies
+        for witness in witnesses:
             assert sorted(witness) == sorted(comp.labels)
 
 
@@ -296,13 +296,14 @@ def test_davis_domke_witnesses_are_checked_maps_onto_components(monkeypatch):
     monkeypatch.setattr(graphs, "find_isomorphism", counted)
     for n in range(2, 13):
         for a in range(1, n):
-            rep = davis_domke_decompose(n, a)
-            g = build_graph(CubicCirculantSpec(n, a))
-            model = build_graph(rep.component_spec)
+            spec = CubicCirculantSpec(n, a)
+            witnesses = davis_domke_decompose(spec)
+            g = build_graph(spec)
+            model = build_graph(spec.split()[3])
             comp_labels = [frozenset(comp.labels) for comp in _components(g)]
-            images = [frozenset(w.values()) for w in rep.witness_isos]
+            images = [frozenset(w.values()) for w in witnesses]
             assert sorted(images, key=sorted) == sorted(comp_labels, key=sorted), (n, a)
-            for witness in rep.witness_isos:
+            for witness in witnesses:
                 assert sorted(witness) == sorted(model.labels), (n, a)
                 assert len(set(witness.values())) == model.num_vertices, (n, a)
                 image = [g.index_of(witness[label]) for label in model.labels]
@@ -333,10 +334,11 @@ def test_davis_domke_builds_no_graph(monkeypatch):
     monkeypatch.setattr(graphs, "graph_from_edges", refuse)
     for n in range(2, 13):
         for a in range(1, n):
-            assert davis_domke_decompose(n, a).copy_count == CubicCirculantSpec(n, a).split()[2]
-    rep = davis_domke_decompose(16000, 8000)
-    assert (rep.copy_count, rep.component_spec) == (8000, CirculantSpec(4, (1, 2)))
-    assert len({v for w in rep.witness_isos for v in w.values()}) == 32000
+            spec = CubicCirculantSpec(n, a)
+            assert len(davis_domke_decompose(spec)) == spec.split()[2]
+    witnesses = davis_domke_decompose(CubicCirculantSpec(16000, 8000))
+    assert [len(w) for w in witnesses] == [4] * 8000
+    assert len({v for w in witnesses for v in w.values()}) == 32000
 
 
 def test_graph_from_edges_rejects_a_self_loop():

@@ -40,7 +40,6 @@ from circdepth.homology import (
     _rotation_invariant,
     _simplicial,
     hochster_betti_table,
-    oracle_invariants,
 )
 
 from conftest import random_connected_graph, random_graph
@@ -176,15 +175,15 @@ def test_hochster_complete4():
     ],
 )
 def test_oracle_examples(spec, depth):
-    rep = oracle_invariants(build_graph(spec))
-    assert rep.depth == depth
-    assert rep.depth + rep.pdim == rep.ambient_vars
+    table = hochster_betti_table(build_graph(spec))
+    assert table.depth == depth
+    assert table.depth + table.pdim == table.ambient_vars
 
 
 def test_oracle_zero_ideal():
     g = graph_from_edges(["a", "b", "c"], [])
-    rep = oracle_invariants(g)
-    assert (rep.depth, rep.pdim, rep.reg) == (3, 0, 0)
+    table = hochster_betti_table(g)
+    assert (table.depth, table.pdim, table.reg) == (3, 0, 0)
 
 
 def test_size_cap():
@@ -539,6 +538,42 @@ def test_vertex_split_falls_back_to_faces(monkeypatch):
         assert calls == [sorted(_independence_faces_by_size(g.adjacency, full))]
 
 
+def _kunneth_square(table):
+    """The Betti table of two disjoint copies of a graph with ``table``:
+    beta_{i,j} = sum of beta_{i1,j1} beta_{i2,j2} over i1 + i2 = i, j1 + j2 = j."""
+    out = {}
+    for (i1, j1), b1 in table.entries:
+        for (i2, j2), b2 in table.entries:
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + b1 * b2
+    return BettiTable.from_dict(2 * table.ambient_vars, out)
+
+
+def test_component_join_ranks_each_copy_once(monkeypatch):
+    # C_16(2,6,8) is two copies of C_8(1,3,4), on the even and on the odd
+    # vertices.  It is rotation-invariant, so the top of the sum asks for the
+    # homology of the whole disconnected graph: the join over its components
+    # ranks the 17 faces of each copy once, and never the 17^2 = 289 faces of
+    # the whole graph, which took about 5x as long
+    g = build_graph(CirculantSpec(16, (2, 6, 8)))
+    assert _rotation_invariant(g.adjacency)
+    assert len(components_of_mask(g.adjacency, (1 << 16) - 1)) == 2
+    copy = build_graph(CirculantSpec(8, (1, 3, 4)))
+    fields = (GF2, FieldSpec(3), RATIONALS)
+    want = {field: _kunneth_square(hochster_betti_table(copy, field)) for field in fields}
+    sizes = []
+    real = hom._homology_from_faces
+
+    def counted(faces, field):
+        sizes.append(len(faces))
+        return real(faces, field)
+
+    monkeypatch.setattr(hom, "_homology_from_faces", counted)
+    for field in fields:
+        sizes.clear()
+        assert hochster_betti_table(g, field) == want[field]
+        assert sizes == [17, 17]
+
+
 @given(_small_graphs, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_table_is_invariant_under_relabeling(g, rng):
@@ -797,8 +832,8 @@ def test_disjoint_union_additivity():
         g = random_graph(rng, rng.randint(1, 5))
         h = random_graph(rng, rng.randint(1, 5))
         u = disjoint_union([g, h])
-        assert oracle_invariants(u).depth == (
-            oracle_invariants(g).depth + oracle_invariants(h).depth
+        assert hochster_betti_table(u).depth == (
+            hochster_betti_table(g).depth + hochster_betti_table(h).depth
         )
 
 
@@ -809,7 +844,7 @@ def test_isolated_vertex_increments_depth():
         plus = graph_from_edges(
             list(g.labels) + ["fresh"], g.edges()
         )
-        assert oracle_invariants(plus).depth == oracle_invariants(g).depth + 1
+        assert hochster_betti_table(plus).depth == hochster_betti_table(g).depth + 1
 
 
 def test_colon_depth_monotonicity():
@@ -823,5 +858,5 @@ def test_colon_depth_monotonicity():
         rest = (1 << g.num_vertices) - 1
         keep = rest & ~g.adjacency[v]
         sub = induced_subgraph(g, keep)
-        assert oracle_invariants(sub).depth >= oracle_invariants(g).depth
+        assert hochster_betti_table(sub).depth >= hochster_betti_table(g).depth
         checked += 1

@@ -21,7 +21,7 @@ from circdepth.graphs import (
     graph_from_edges,
     parse_graph_spec,
 )
-from circdepth.homology import oracle_invariants
+from circdepth.homology import hochster_betti_table
 from circdepth.ideals import (
     MonomialIdeal,
     colon_by_monomial,
@@ -186,7 +186,7 @@ def test_known_bound_compliance_small_members():
 def test_stanley_inequality_on_solved_instances():
     for text in ["path:5", "cycle:6", "ladderB:3", "cubic:4:2", "star:5"]:
         g = build_graph(parse_graph_spec(text))
-        assert sdepth_exact(edge_ideal(g)).value >= oracle_invariants(g).depth
+        assert sdepth_exact(edge_ideal(g)).value >= hochster_betti_table(g).depth
 
 
 def test_stanley_inequality_on_random_graphs():
@@ -195,7 +195,7 @@ def test_stanley_inequality_on_random_graphs():
         g = random_connected_graph(rng, rng.randint(2, 8))
         r = sdepth_exact(edge_ideal(g))
         assert r.is_exact
-        assert r.value >= oracle_invariants(g).depth
+        assert r.value >= hochster_betti_table(g).depth
 
 
 def test_zero_check_examples():
