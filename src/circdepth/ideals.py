@@ -10,7 +10,9 @@ supports, each once.  That holds in every degree at once, so there is no
 degree cap.  ``standard_supports`` is the package's one walk over
 independent sets: the standard supports of an edge ideal are the
 independent sets of its graph, and the homology oracle reads its faces from
-it too.
+it too.  The walk grows each support by variables below its lowest one,
+breadth-first, and yields the supports sorted by (rank, mask), the order
+the Stanley-depth solver indexes its poset by.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ class MonomialIdeal:
             seen.add(gen)
         # distinct supports of one size never contain each other, so each
         # generator is checked only against the strictly smaller ones
-        ordered = tuple(sorted(self.generators, key=lambda m: (m.bit_count(), m)))
+        ordered = sorted(self.generators)
+        ordered.sort(key=int.bit_count)  # stable: (bit_count, mask) order
         smaller = 0  # ordered[:smaller] are smaller than the current size
         for i, gen in enumerate(ordered):
             if ordered[smaller].bit_count() < gen.bit_count():
                 smaller = i
-            if any(g & ~gen == 0 for g in ordered[:smaller]):
+            if smaller and any(g & ~gen == 0 for g in ordered[:smaller]):
                 raise ValueError("generating set is not minimal")
-        object.__setattr__(self, "generators", ordered)
+        object.__setattr__(self, "generators", tuple(ordered))
 
     @classmethod
     def create(cls, ambient_vars: int, supports: Iterable[int]) -> "MonomialIdeal":
@@ -104,33 +107,49 @@ def colon_by_monomial(ideal: MonomialIdeal, u: int) -> MonomialIdeal:
 
 
 def standard_supports(ideal: MonomialIdeal) -> list[int]:
-    """The supports of the squarefree monomials outside ``ideal``, in walk order.
+    """The squarefree supports outside ``ideal``, sorted by (rank, mask).
 
-    Each support grows by variables above its highest one, so every subset
-    is reached once, from itself minus its top variable; the ideal is closed
-    upward, so a pruned branch holds no standard support.  Adding variable v
-    can only complete a generator whose highest variable is v, so only those
-    are tested: the degree-2 ones with one AND against ``below[v]``, the
-    rest one by one.
+    Each support grows by variables below its lowest one, so every subset
+    is reached once, from itself minus its lowest variable; the ideal is
+    closed upward, so a pruned branch holds no standard support.  Adding
+    variable v can only complete a generator whose lowest variable is v.
+    Degree-2 generators are never tested: each support carries a mask of
+    the variables it may still take, and the child ``m | 1 << v`` keeps
+    those below v that share no degree-2 generator with v (``below[v]``).
+    Only the generators of other degrees whose lowest variable is v are
+    tested, one by one.
+
+    The walk is breadth-first, each rank's supports taken in increasing
+    order and each one's children by increasing v.  That order holds: for
+    m1 < m2 of one rank and L the lowest bit of m1, the masks strictly
+    between m1 and m1 + L have more bits, so m2 >= m1 + L, while every
+    child of m1 lies below m1 + L.
     """
     q = ideal.ambient_vars
-    # below[v]: the other variable of each degree-2 generator with highest
-    # variable v; rests[v]: every other such generator, minus v (0 for the
-    # degree-1 generator v itself, which every m completes)
+    # below[v]: the lower variable of each degree-2 generator with highest
+    # variable v; rests[v]: every other generator with lowest variable v,
+    # minus v (0 for the degree-1 generator v itself, which every m completes)
     below = [0] * q
     rests: list[list[int]] = [[] for _ in range(q)]
     for g in ideal.generators:  # nonempty, inside the q variables
-        top = g.bit_length() - 1
-        rest = g ^ (1 << top)
-        if rest.bit_count() == 1:
-            below[top] |= rest
+        if g.bit_count() == 2:
+            top = g.bit_length() - 1
+            below[top] |= g ^ (1 << top)
         else:
-            rests[top].append(rest)
+            low = g & -g
+            rests[low.bit_length() - 1].append(g ^ low)
     supports = [0]
-    for m in supports:  # grows while it is walked
-        for v in range(m.bit_length(), q):
-            if not m & below[v] and not any(r & m == r for r in rests[v]):
-                supports.append(m | 1 << v)
+    frees = [(1 << q) - 1]  # frees[i]: the variables supports[i] may still take
+    for m, free in zip(supports, frees):  # both grow while they are walked
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            tests = rests[v]  # empty for an edge ideal
+            if not tests or not any(r & m == r for r in tests):
+                supports.append(m | low)
+                frees.append(free & (low - 1) & ~below[v])
     return supports
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .graphs import bits
 from .ideals import MonomialIdeal, standard_supports
 
 POSET_VAR_CAP = 14
@@ -107,17 +106,16 @@ class SdepthResult:
 def char_poset(ideal: MonomialIdeal) -> CharPoset:
     """The standard squarefree monomials of ``ideal`` as masks, sorted by rank.
 
-    The masks come from ``ideals.standard_supports``; this adds the
-    variable cap and the (rank, mask) order the solver indexes by.
+    The masks come from ``ideals.standard_supports``, whose walk yields
+    them already in the (rank, mask) order the solver indexes by; this
+    adds the variable cap.
     """
     q = ideal.ambient_vars
     if q > POSET_VAR_CAP:
         raise PosetSizeError(
             f"{q} variables exceeds the poset cap of {POSET_VAR_CAP}"
         )
-    elements = standard_supports(ideal)
-    elements.sort(key=lambda m: (m.bit_count(), m))
-    return CharPoset(tuple(elements))
+    return CharPoset(tuple(standard_supports(ideal)))
 
 
 def _interval_cells(lower: int, upper: int) -> list[int]:
@@ -154,7 +152,10 @@ def counting_bound(poset: CharPoset) -> int:
     alpha = poset.rank_counts
     for k in range(poset.max_rank, 0, -1):
         if all(
-            sum((-1) ** (j - i) * comb(k - i, j - i) * alpha[i] for i in range(j + 1)) >= 0
+            sum(
+                (-1 if (j - i) & 1 else 1) * comb(k - i, j - i) * alpha[i]
+                for i in range(j + 1)
+            ) >= 0
             for j in range(k + 1)
         ):
             return k
@@ -206,7 +207,13 @@ def _interval_options(down: list[int], above: int, tops: int) -> list[int]:
     ``above`` is up[A] from ``_prefix_bitsets``; the cells of [A, B] are
     exactly down[B] & up[A].
     """
-    return [down[t] & above for t in bits(above & tops)]
+    options = []
+    rest = above & tops
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        options.append(down[low.bit_length() - 1] & above)
+    return options
 
 
 def find_partition(

@@ -120,7 +120,9 @@ def _is_minimal_reference(gens):
 def test_minimality_check_matches_pairwise_rule(case):
     n, gens = case
     if _is_minimal_reference(gens):
-        assert sorted(MonomialIdeal(n, tuple(gens)).generators) == sorted(gens)
+        assert MonomialIdeal(n, tuple(gens)).generators == tuple(
+            sorted(gens, key=lambda m: (m.bit_count(), m))
+        )
     else:
         with pytest.raises(ValueError, match="not minimal"):
             MonomialIdeal(n, tuple(gens))
@@ -142,10 +144,12 @@ def test_edge_ideal_matches_minimalized_create(case):
 @given(ideals)
 @settings(max_examples=100)
 def test_standard_supports_match_brute_force(i):
-    # sorted, so a support reached twice shows as well as a missing one
-    assert sorted(standard_supports(i)) == [
-        s for s in range(1 << i.ambient_vars) if not i.contains_support(s)
-    ]
+    # the exact list, so a support reached twice shows as well as a missing
+    # one, and so does a support out of (rank, mask) order
+    assert standard_supports(i) == sorted(
+        (s for s in range(1 << i.ambient_vars) if not i.contains_support(s)),
+        key=lambda m: (m.bit_count(), m),
+    )
 
 
 def test_colon_decomposition_a3_reference_order():

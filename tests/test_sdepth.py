@@ -26,6 +26,7 @@ from circdepth.ideals import (
     MonomialIdeal,
     colon_by_monomial,
     edge_ideal,
+    standard_supports,
 )
 from circdepth.sdepth import (
     Interval,
@@ -508,6 +509,7 @@ def test_char_poset_matches_brute_force_on_mixed_degrees(case):
         key=lambda m: (m.bit_count(), m),
     )
     assert char_poset(ideal).elements == tuple(brute)
+    assert char_poset(ideal).elements == tuple(standard_supports(ideal))
 
 
 _WITNESSES = json.loads(
