@@ -170,6 +170,8 @@ class _OrderSpec:
 
 @dataclass(frozen=True)
 class PathSpec(_OrderSpec):
+    """The path x1 - x2 - ... - xq."""
+
     kind, symbol, noun, min_q = "path", "P", "path", 1
 
     @property
@@ -182,6 +184,8 @@ class PathSpec(_OrderSpec):
 
 @dataclass(frozen=True)
 class CycleSpec(_OrderSpec):
+    """The cycle x1 - x2 - ... - xq - x1."""
+
     kind, symbol, noun, min_q = "cycle", "C", "cycle", 3
 
     @property
@@ -194,6 +198,8 @@ class CycleSpec(_OrderSpec):
 
 @dataclass(frozen=True)
 class StarSpec(_OrderSpec):
+    """The star with center x1 and leaves x2..xq."""
+
     kind, symbol, noun, min_q = "star", "S", "star", 2
 
     @property
@@ -207,6 +213,8 @@ class StarSpec(_OrderSpec):
 
 @dataclass(frozen=True)
 class CompleteSpec(_OrderSpec):
+    """The complete graph on x1..xq."""
+
     kind, symbol, noun, min_q = "complete", "K", "complete graph", 1
 
     @property
@@ -226,6 +234,8 @@ def _circulant(q: int, shifts: tuple[int, ...]) -> Graph:
 
 @dataclass(frozen=True)
 class CirculantSpec:
+    """The circulant on x1..xq: i and i + s (mod q) adjacent for every shift s."""
+
     q: int
     shifts: tuple[int, ...]
 
@@ -397,6 +407,8 @@ class LadderSpec:
 
 @dataclass(frozen=True)
 class UnionSpec:
+    """The disjoint union of its parts, labels prefixed by part number ('1:x2')."""
+
     parts: tuple["GraphSpec", ...]
 
     kind: ClassVar[str] = "union"

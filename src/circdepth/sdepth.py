@@ -6,11 +6,17 @@ independent sets).  S/I has Stanley depth >= k exactly when that family
 splits into disjoint intervals [A, B] whose tops all have size >= k.  Any
 such top refines into tops of size exactly k (Herzog-Vladoiu-Zheng, "How to
 compute the Stanley depth of a monomial ideal", 2009), so the decision for
-k runs by exact-cover backtracking on the elements of rank <= k alone, with
-tops of rank k; the elements above rank k stay singletons.  The solver
-certifies k upward from a known floor and stops at the first k that fails
-or at Herzog's counting bound, so a budget timeout still leaves the best
-k certified so far, with its witness.
+k runs on the elements of rank <= k alone, with tops of rank k; the
+elements above rank k stay singletons.  Each decision first dives: it
+covers the lowest uncovered element with its first interval that still
+fits and never backtracks.  Every interval it commits lies inside the
+uncovered set, so a dive that covers everything is a partition, and most
+k that hold are settled this way.  At the dive's first dead end its
+choices are dropped and exact-cover backtracking decides k over again,
+so every "no" comes from the complete search and no answer depends on the
+dive.  The solver certifies k upward from a known floor and stops at the
+first k that fails or at Herzog's counting bound, so a budget timeout
+still leaves the best k certified so far, with its witness.
 
 The cover state is one bitset over poset element indices (elements sort by
 rank, then mask).  For each k the solver builds, for every element of rank
@@ -30,7 +36,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 from .ideals import MonomialIdeal, standard_supports
 
@@ -75,6 +80,8 @@ class CharPoset:
 
 @dataclass(frozen=True)
 class Interval:
+    """The variable subsets C with lower <= C <= upper, as masks."""
+
     lower: int
     upper: int
 
@@ -89,6 +96,8 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalPartition:
+    """Disjoint intervals that together cover a poset: a Stanley decomposition."""
+
     intervals: tuple[Interval, ...]
 
     @property
@@ -98,6 +107,8 @@ class IntervalPartition:
 
 @dataclass(frozen=True)
 class SdepthResult:
+    """A Stanley depth value, whether it is exact, and its certifying partition."""
+
     value: int
     is_exact: bool
     witness: IntervalPartition | None
@@ -148,16 +159,18 @@ def counting_bound(poset: CharPoset) -> int:
     every j <= k, where alpha_i counts the elements of rank i.  Any interval
     partition with all tops of size >= k passes it, so no k above the
     returned value admits one.
+
+    Those sums are the coefficients of t^0..t^k in the polynomial
+    ``sum_i alpha_i t^i (1 - t)^(k - i)``, built in one pass per k as
+    Q <- Q * (1 - t) + alpha_i t^i for i = 0..k.
     """
     alpha = poset.rank_counts
     for k in range(poset.max_rank, 0, -1):
-        if all(
-            sum(
-                (-1 if (j - i) & 1 else 1) * comb(k - i, j - i) * alpha[i]
-                for i in range(j + 1)
-            ) >= 0
-            for j in range(k + 1)
-        ):
+        coeffs: list[int] = []
+        for i in range(k + 1):
+            coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            coeffs[i] += alpha[i]
+        if min(coeffs) >= 0:
             return k
     return 0
 
@@ -228,16 +241,29 @@ def find_partition(
     ``poset.elements``; every element above rank k joins the witness as a
     singleton [m, m].
 
-    Backtracking exact cover over a bitset of uncovered element indices.
-    Any minimal uncovered element must be the bottom of its interval, so
-    each node branches on one element of the lowest uncovered rank: the one
-    with the fewest still-available tops (fail first, forced moves committed
-    immediately; ties go to the smaller mask).  Candidate tops are tried in
-    poset order (rank, then mask) for determinism.  A top is available when
-    its interval's cell bitset, the AND of the top's subset bitset and the
-    bottom's superset bitset built for this k, lies inside the uncovered
-    set.  The search keeps its own stack instead of recursing, so it leaves
-    no reference cycle behind for the garbage collector.
+    A top is available when its interval's cell bitset, the AND of the
+    top's subset bitset and the bottom's superset bitset built for this k,
+    lies inside the bitset of uncovered element indices.  Any minimal
+    uncovered element must be the bottom of its interval.
+
+    First a dive: take the lowest uncovered element (rank, then mask) and
+    commit its first available top in poset order, with no backtracking.
+    Most decisions that succeed succeed this way, so the dive's cover is
+    returned as it stands; it is a partition by construction.  At the
+    dive's first dead end its choices are dropped and the complete search
+    below decides k from the full uncovered set, so every None still comes
+    from exhausting that search and the yes/no answer does not depend on
+    the dive.  Both read the same per-element option lists, filled on
+    demand.  The dive takes at most one step per element, so only the
+    complete search checks the deadline.
+
+    The complete search is backtracking exact cover: each node branches on
+    one element of the lowest uncovered rank, the one with the fewest
+    still-available tops (fail first, forced moves committed immediately;
+    ties go to the smaller mask).  Candidate tops are tried in poset order
+    (rank, then mask) for determinism.  The search keeps its own stack
+    instead of recursing, so it leaves no reference cycle behind for the
+    garbage collector.
     """
     elements = poset.elements
     if k > poset.max_rank:
@@ -255,6 +281,23 @@ def find_partition(
     uncovered = (1 << size) - 1
     # one frame per chosen interval: [bottom, options, position taken]
     stack: list[list] = []
+    # the dive; when it covers everything, the search's first node returns it
+    while uncovered:
+        i = (uncovered & -uncovered).bit_length() - 1
+        cand = fits[i]
+        if cand is None:
+            cand = fits[i] = _interval_options(down, up[i], tops)
+        for pos, cells in enumerate(cand):
+            if cells & uncovered == cells:
+                stack.append([elements[i], cand, pos])
+                uncovered ^= cells
+                break
+        else:
+            # dead end: the dive's frames list every option, fitting or not,
+            # so the search cannot backtrack into them; it starts over
+            stack.clear()
+            uncovered = (1 << size) - 1
+            break
     nodes = 0
     while True:
         nodes += 1

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,56 @@ def test_find_partition_decision_boundary():
     assert find_partition(poset, 3) is None
 
 
+def _greedy_cover(poset, k):
+    """The dive's rule on sets: cover the lowest uncovered element (rank, then
+    mask) with its first rank-k top in poset order whose interval still fits,
+    never backtracking.  True when it covers the rank <= k prefix."""
+    uncovered = {m for m in poset.elements if m.bit_count() <= k}
+    tops = sorted(m for m in uncovered if m.bit_count() == k)
+    while uncovered:
+        bottom = min(uncovered, key=lambda m: (m.bit_count(), m))
+        for top in tops:
+            cells = _cells(bottom, top)
+            if top & bottom == bottom and uncovered.issuperset(cells):
+                uncovered.difference_update(cells)
+                break
+        else:
+            return False
+    return True
+
+
+def test_dive_dead_end_falls_back_to_the_complete_search():
+    """An ideal where the dive dead-ends at k = 3 though a partition exists.
+
+    Found by drawing ideals with ``random.Random(0)``: 2-6 variables and 0-4
+    random generators each, keeping those where ``find_partition`` succeeds
+    at some k while ``_greedy_cover`` fails; this is the smallest poset
+    found (20 elements, draw 1068): generators x1x5, x1x2x3 and x2x3x4.
+    """
+    ideal = MonomialIdeal.create(5, [0b10001, 0b00111, 0b01110])
+    poset = char_poset(ideal)
+    assert poset.rank_counts == (1, 5, 9, 5)
+    assert not _greedy_cover(poset, 3)
+    got = find_partition(poset, 3)
+    assert got is not None and _find_partition_reference(poset, 3) is not None
+    assert validate_partition(poset, got) and got.min_top_size == 3
+    assert sdepth_exact(ideal).value == 3
+
+
+@pytest.mark.parametrize("text", ["ladderA:6", "ladderB:6"])
+def test_sdepth_settles_native_ladders_without_a_budget(text):
+    """On native labels the dive certifies k = 4 at once: the upper end of the
+    closed-form range [3, 4] for ladderA:6, and the closed-form value of
+    ladderB:6, whose decision at k = 4 the complete search alone did not
+    finish in 5 s."""
+    spec = parse_graph_spec(text)
+    ideal = edge_ideal(build_graph(spec))
+    r = sdepth_exact(ideal, floor=formula_for_spec(spec).sdepth.lo)
+    assert (r.value, r.is_exact) == (4, True)
+    assert validate_partition(char_poset(ideal), r.witness)
+    assert r.witness.min_top_size == 4
+
+
 def test_floor_seed_and_contradiction():
     ideal = edge_ideal(build_graph(CubicCirculantSpec(5, 1)))
     seeded = sdepth_exact(ideal, floor=3)
@@ -149,8 +200,9 @@ def test_budget_exhaustion_returns_lower_bound():
     ideal = edge_ideal(build_graph(CubicCirculantSpec(7, 1)))
     r = sdepth_exact(ideal, time_budget=1e-9, floor=3)
     assert not r.is_exact
-    # the deadline is checked every 256 nodes, so the floor and any k the
-    # search settles in fewer nodes are certified; the witness backs the value
+    # the deadline is checked every 256 nodes of the complete search, so the
+    # floor and any k that the dive or fewer nodes settle are certified; the
+    # witness backs the value
     assert r.value >= 3
     assert validate_partition(char_poset(ideal), r.witness)
     assert r.witness.min_top_size >= r.value
@@ -398,6 +450,32 @@ def test_counting_bound_is_an_upper_bound(ideal):
     )
     assert counting_bound(poset) >= value
     assert sdepth_exact(ideal).value == value
+
+
+def _counting_bound_reference(poset):
+    """Herzog's counting test as the written-out double sum of binomials."""
+    alpha = poset.rank_counts
+    for k in range(poset.max_rank, 0, -1):
+        if all(
+            sum((-1) ** (j - i) * comb(k - i, j - i) * alpha[i] for i in range(j + 1)) >= 0
+            for j in range(k + 1)
+        ):
+            return k
+    return 0
+
+
+@given(st.lists(st.integers(0, 60), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_counting_bound_matches_the_binomial_sum(counts):
+    """Any rank vector, realized as masks of each size: one empty set, then
+    counts[i - 1] distinct masks of rank i."""
+    alpha = [1] + counts
+    elements = tuple(
+        ((1 << i) - 1) << j for i, count in enumerate(alpha) for j in range(count)
+    )
+    poset = sdepth.CharPoset(elements)
+    assert list(poset.rank_counts) == alpha[: poset.max_rank + 1]
+    assert counting_bound(poset) == _counting_bound_reference(poset)
 
 
 @pytest.mark.parametrize(
