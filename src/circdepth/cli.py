@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Collection
 
@@ -30,6 +29,7 @@ from .graphs import (
     GraphSpec,
     GraphSpecError,
     LadderSpec,
+    Record,
     build_graph,
     davis_domke_decompose,
     moebius_ladder,
@@ -69,14 +69,25 @@ ORACLE_ROUTES = ("formula", "oracle")
 _ROUTE_NAMES = {"oracle": "oracle", "sdepth": "sdepth solver"}
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record):
     """What the requested routes computed for one graph, and the verdict on it."""
 
     formula: FormulaReport | None
     oracle: BettiTable | None
     solver: SdepthResult | None
     verdict: str
+
+    def __init__(
+        self,
+        formula: FormulaReport | None,
+        oracle: BettiTable | None,
+        solver: SdepthResult | None,
+        verdict: str,
+    ) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "solver", solver)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def evaluate(
@@ -302,8 +313,7 @@ def _render_invariants(args, spec, result: Evaluation, payload):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowTask:
+class RowTask(Record):
     """One verify-paper row: ``check()`` returns its cells.
 
     ``check`` binds all the row reads: the spec, its routes, the field, the
@@ -314,6 +324,11 @@ class RowTask:
     family: str
     params: str
     check: Callable[[], dict[str, str]]
+
+    def __init__(self, family: str, params: str, check: Callable[[], dict[str, str]]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "check", check)
 
 
 def _decomposition_cells(spec: CubicCirculantSpec) -> dict[str, str]:

@@ -13,8 +13,6 @@ the depth of the connected component, so the gcd split is computed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import (
     CirculantSpec,
     CompleteSpec,
@@ -23,6 +21,7 @@ from .graphs import (
     GraphSpec,
     LadderSpec,
     PathSpec,
+    Record,
     StarSpec,
     UnionSpec,
 )
@@ -36,18 +35,19 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class FormulaValue:
+class FormulaValue(Record):
     """An exact value (lo == hi), a two-sided bound, or a lower bound (hi None)."""
 
     lo: int
     hi: int | None
 
-    def __post_init__(self) -> None:
-        if self.lo < 0:
+    def __init__(self, lo: int, hi: int | None) -> None:
+        if lo < 0:
             raise ValueError("invariant values are nonnegative")
-        if self.hi is not None and self.hi < self.lo:
+        if hi is not None and hi < lo:
             raise ValueError("upper bound below lower bound")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def exact(cls, v: int) -> "FormulaValue":
@@ -82,8 +82,7 @@ class FormulaValue:
         return f"[{self.lo},{self.hi}]"
 
 
-@dataclass(frozen=True)
-class FormulaReport:
+class FormulaReport(Record):
     """The closed form of S/I(G) on ``ambient_vars`` variables.
 
     ``depth`` is stored and exact for every closed form; ``pdim`` is derived
@@ -95,6 +94,14 @@ class FormulaReport:
     sdepth: FormulaValue
     source: str
     ambient_vars: int
+
+    def __init__(
+        self, depth: FormulaValue, sdepth: FormulaValue, source: str, ambient_vars: int
+    ) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "sdepth", sdepth)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "ambient_vars", ambient_vars)
 
     @property
     def pdim(self) -> FormulaValue:

@@ -9,8 +9,8 @@ component splits and subset enumeration cheap.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 from typing import ClassVar, Iterator, Sequence, Union, get_args
 
 MAX_ISO_VERTICES = 24
@@ -41,28 +41,73 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass's fields are its annotated names that are not ClassVar, its
+    base's fields first; they are read once, when the class is made.  Each
+    subclass writes its own ``__init__``: it checks its arguments and sets
+    each field once with ``object.__setattr__``.  The base compares and
+    hashes the fields (objects of different classes are never equal), shows
+    them as ``Name(field=value, ...)``, and refuses assignment and deletion.
+    No code is generated, so defining a subclass costs no more than any class.
+    """
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        notes = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(
+            name for name, note in notes.items()
+            if not str(note).startswith(("ClassVar", "typing.ClassVar"))
+        )
+        # called as self._key(self): the field values, as a tuple when there
+        # are several; an attrgetter reads them as fast as a written-out tuple
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """Immutable simple graph: unique labels plus per-vertex adjacency bitsets."""
 
     labels: tuple[str, ...]
     adjacency: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.adjacency) != n:
+    def __init__(self, labels: tuple[str, ...], adjacency: tuple[int, ...]) -> None:
+        n = len(labels)
+        if len(adjacency) != n:
             raise ValueError("adjacency length must equal number of labels")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ValueError("vertex labels must be unique")
         full = (1 << n) - 1
-        for v, row in enumerate(self.adjacency):
+        for v, row in enumerate(adjacency):
             if row & ~full:
                 raise ValueError(f"adjacency bitset of vertex {v} exceeds width {n}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             for u in bits(row):
-                if not (self.adjacency[u] >> v) & 1:
+                if not (adjacency[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def num_vertices(self) -> int:
@@ -128,8 +173,7 @@ def _x_labels(q: int) -> list[str]:
     return [f"x{i}" for i in range(1, q + 1)]
 
 
-@dataclass(frozen=True)
-class _OrderSpec:
+class _OrderSpec(Record):
     """A family with one member per vertex count q, labeled x1..xq.
 
     Subclasses name the family and give its edge list in ``edges()`` and
@@ -143,9 +187,10 @@ class _OrderSpec:
     noun: ClassVar[str]
     min_q: ClassVar[int]
 
-    def __post_init__(self) -> None:
-        if self.q < self.min_q:
+    def __init__(self, q: int) -> None:
+        if q < self.min_q:
             raise GraphSpecError(f"{self.noun} needs q >= {self.min_q}")
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def parse(cls, kind: str, body: str) -> GraphSpec | None:
@@ -168,7 +213,6 @@ class _OrderSpec:
         return graph_from_edges(_x_labels(self.q), self.edges())
 
 
-@dataclass(frozen=True)
 class PathSpec(_OrderSpec):
     """The path x1 - x2 - ... - xq."""
 
@@ -182,7 +226,6 @@ class PathSpec(_OrderSpec):
         return [(i, i + 1) for i in range(self.q - 1)]
 
 
-@dataclass(frozen=True)
 class CycleSpec(_OrderSpec):
     """The cycle x1 - x2 - ... - xq - x1."""
 
@@ -196,7 +239,6 @@ class CycleSpec(_OrderSpec):
         return [(i, (i + 1) % self.q) for i in range(self.q)]
 
 
-@dataclass(frozen=True)
 class StarSpec(_OrderSpec):
     """The star with center x1 and leaves x2..xq."""
 
@@ -211,7 +253,6 @@ class StarSpec(_OrderSpec):
         return [(0, i) for i in range(1, self.q)]
 
 
-@dataclass(frozen=True)
 class CompleteSpec(_OrderSpec):
     """The complete graph on x1..xq."""
 
@@ -232,8 +273,7 @@ def _circulant(q: int, shifts: tuple[int, ...]) -> Graph:
     )
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(Record):
     """The circulant on x1..xq: i and i + s (mod q) adjacent for every shift s."""
 
     q: int
@@ -241,16 +281,15 @@ class CirculantSpec:
 
     kind: ClassVar[str] = "circulant"
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
+    def __init__(self, q: int, shifts: tuple[int, ...]) -> None:
+        if q < 2:
             raise GraphSpecError("circulant needs q >= 2")
-        shifts = tuple(sorted(set(self.shifts)))
+        shifts = tuple(sorted(set(shifts)))
         if not shifts:
             raise GraphSpecError("circulant needs a nonempty shift set")
-        if any(s < 1 or s > self.q // 2 for s in shifts):
-            raise GraphSpecError(
-                f"circulant shifts must lie in 1..{self.q // 2} for q={self.q}"
-            )
+        if any(s < 1 or s > q // 2 for s in shifts):
+            raise GraphSpecError(f"circulant shifts must lie in 1..{q // 2} for q={q}")
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "shifts", shifts)
 
     @classmethod
@@ -282,8 +321,7 @@ class CirculantSpec:
         return _circulant(self.q, self.shifts)
 
 
-@dataclass(frozen=True)
-class CubicCirculantSpec:
+class CubicCirculantSpec(Record):
     """The 3-regular circulant on 2n vertices with shifts {a, n}, 1 <= a < n."""
 
     n: int
@@ -291,12 +329,14 @@ class CubicCirculantSpec:
 
     kind: ClassVar[str] = "cubic"
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, a: int) -> None:
+        if n < 2:
             raise GraphSpecError("cubic circulant needs n >= 2")
-        if not 1 <= self.a < self.n:
+        if not 1 <= a < n:
             # a = n degenerates to a multigraph matching; rejected outright.
             raise GraphSpecError("cubic circulant needs 1 <= a < n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
 
     @classmethod
     def parse(cls, kind: str, body: str) -> GraphSpec | None:
@@ -360,19 +400,20 @@ _LADDER_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class LadderSpec:
+class LadderSpec(Record):
     """Ladder graph family: 'A' is the 2n-vertex ladder, 'B'/'C'/'D' its supergraphs."""
 
     family: str
     n: int
 
-    def __post_init__(self) -> None:
-        if self.family not in _LADDER_SHAPES:
+    def __init__(self, family: str, n: int) -> None:
+        if family not in _LADDER_SHAPES:
             raise GraphSpecError("ladder family must be one of A, B, C, D")
-        low = 0 if self.family == "B" else 1
-        if self.n < low:
-            raise GraphSpecError(f"ladder {self.family} needs n >= {low}")
+        low = 0 if family == "B" else 1
+        if n < low:
+            raise GraphSpecError(f"ladder {family} needs n >= {low}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
 
     @property
     def kind(self) -> str:
@@ -405,18 +446,17 @@ class LadderSpec:
         return _ladder(self.n, *_LADDER_SHAPES[self.family](self.n))
 
 
-@dataclass(frozen=True)
-class UnionSpec:
+class UnionSpec(Record):
     """The disjoint union of its parts, labels prefixed by part number ('1:x2')."""
 
     parts: tuple["GraphSpec", ...]
 
     kind: ClassVar[str] = "union"
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[GraphSpec, ...]) -> None:
+        if not parts:
             raise GraphSpecError("union needs at least one part")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "parts", tuple(parts))
 
     @classmethod
     def parse(cls, kind: str, body: str) -> GraphSpec | None:

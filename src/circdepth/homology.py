@@ -58,12 +58,11 @@ only for the table itself (_HochsterSum.terms).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Sequence
 
-from .graphs import Graph, bits, components_of_mask, induced_subgraph
+from .graphs import Graph, Record, bits, components_of_mask, induced_subgraph
 from .ideals import edge_ideal, standard_supports
 
 ORACLE_VERTEX_CAP = 20
@@ -84,15 +83,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Coefficient field: characteristic p > 0 for GF(p), 0 for the rationals."""
 
     characteristic: int
 
-    def __post_init__(self) -> None:
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+    def __init__(self, characteristic: int) -> None:
+        if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError("field characteristic must be 0 or a prime")
+        object.__setattr__(self, "characteristic", characteristic)
 
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
@@ -103,8 +102,7 @@ GF32003 = FieldSpec(32003)
 RATIONALS = FieldSpec(0)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Record):
     """Nonzero beta_{i,j} multiplicities of S/I(G).
 
     ``pdim`` and ``reg`` are read off the entries; ``depth`` follows from pdim
@@ -113,6 +111,12 @@ class BettiTable:
 
     ambient_vars: int
     entries: tuple[tuple[tuple[int, int], int], ...]
+
+    def __init__(
+        self, ambient_vars: int, entries: tuple[tuple[tuple[int, int], int], ...]
+    ) -> None:
+        object.__setattr__(self, "ambient_vars", ambient_vars)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_dict(cls, ambient_vars: int, data: dict[tuple[int, int], int]) -> "BettiTable":

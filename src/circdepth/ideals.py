@@ -17,13 +17,12 @@ the Stanley-depth solver indexes its poset by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, components_of_mask, induced_subgraph
+from .graphs import Graph, Record, bits, components_of_mask, induced_subgraph
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+
+class MonomialIdeal(Record):
     """Squarefree monomial ideal with a minimal generating set.
 
     Each generator is the bitmask of its support.  ambient_vars is carried
@@ -34,10 +33,10 @@ class MonomialIdeal:
     ambient_vars: int
     generators: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        full = (1 << self.ambient_vars) - 1
+    def __init__(self, ambient_vars: int, generators: tuple[int, ...]) -> None:
+        full = (1 << ambient_vars) - 1
         seen = set()
-        for gen in self.generators:
+        for gen in generators:
             if gen == 0:
                 raise ValueError("generators must have nonempty support")
             if gen & ~full:
@@ -47,7 +46,7 @@ class MonomialIdeal:
             seen.add(gen)
         # distinct supports of one size never contain each other, so each
         # generator is checked only against the strictly smaller ones
-        ordered = sorted(self.generators)
+        ordered = sorted(generators)
         ordered.sort(key=int.bit_count)  # stable: (bit_count, mask) order
         smaller = 0  # ordered[:smaller] are smaller than the current size
         for i, gen in enumerate(ordered):
@@ -55,6 +54,7 @@ class MonomialIdeal:
                 smaller = i
             if smaller and any(g & ~gen == 0 for g in ordered[:smaller]):
                 raise ValueError("generating set is not minimal")
+        object.__setattr__(self, "ambient_vars", ambient_vars)
         object.__setattr__(self, "generators", tuple(ordered))
 
     @classmethod
@@ -158,8 +158,7 @@ def standard_supports(ideal: MonomialIdeal) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColonSummand:
+class ColonSummand(Record):
     """One free summand (S_t/J_t)[adjoined variable] of a colon quotient.
 
     ring_vars is the bitmask of the summand's ring variables in the parent
@@ -171,11 +170,14 @@ class ColonSummand:
     ideal: MonomialIdeal
     adjoined_var: int
 
-    def __post_init__(self) -> None:
-        if (self.ring_vars >> self.adjoined_var) & 1:
+    def __init__(self, ring_vars: int, ideal: MonomialIdeal, adjoined_var: int) -> None:
+        if (ring_vars >> adjoined_var) & 1:
             raise ValueError("adjoined variable must not lie in the summand ring")
-        if self.ideal.ambient_vars != self.ring_vars.bit_count():
+        if ideal.ambient_vars != ring_vars.bit_count():
             raise ValueError("summand ideal ambient must match ring variable count")
+        object.__setattr__(self, "ring_vars", ring_vars)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "adjoined_var", adjoined_var)
 
 
 def colon_decomposition(

@@ -34,9 +34,9 @@ refined to tops of size exactly k.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 
+from .graphs import Record
 from .ideals import MonomialIdeal, standard_supports
 
 POSET_VAR_CAP = 14
@@ -50,11 +50,13 @@ class _Budget(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CharPoset:
+class CharPoset(Record):
     """All variable subsets whose squarefree monomial avoids the ideal."""
 
     elements: tuple[int, ...]  # sorted by (cardinality, mask)
+
+    def __init__(self, elements: tuple[int, ...]) -> None:
+        object.__setattr__(self, "elements", elements)
 
     @property
     def max_rank(self) -> int:
@@ -78,40 +80,47 @@ class CharPoset:
         return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """The variable subsets C with lower <= C <= upper, as masks."""
 
     lower: int
     upper: int
 
-    def __post_init__(self) -> None:
-        if self.lower & ~self.upper:
+    def __init__(self, lower: int, upper: int) -> None:
+        if lower & ~upper:
             raise ValueError("interval lower end must be a subset of the upper end")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @property
     def top_size(self) -> int:
         return self.upper.bit_count()
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(Record):
     """Disjoint intervals that together cover a poset: a Stanley decomposition."""
 
     intervals: tuple[Interval, ...]
+
+    def __init__(self, intervals: tuple[Interval, ...]) -> None:
+        object.__setattr__(self, "intervals", intervals)
 
     @property
     def min_top_size(self) -> int:
         return min(iv.top_size for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class SdepthResult:
+class SdepthResult(Record):
     """A Stanley depth value, whether it is exact, and its certifying partition."""
 
     value: int
     is_exact: bool
     witness: IntervalPartition | None
+
+    def __init__(self, value: int, is_exact: bool, witness: IntervalPartition | None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "is_exact", is_exact)
+        object.__setattr__(self, "witness", witness)
 
 
 def char_poset(ideal: MonomialIdeal) -> CharPoset:

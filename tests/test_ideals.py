@@ -1,7 +1,6 @@
 """Edge ideals, colon/sum arithmetic, standard supports and the
 colon-quotient decomposition with its support-bijection verifier."""
 
-import dataclasses
 import random
 
 import pytest
@@ -327,8 +326,8 @@ def _forget_earlier_neighbors(g, pivot, order=None):
 def _swap_first_two_adjoined(g, pivot, order=None):
     first, second, *rest = colon_decomposition(g, pivot, order)
     return [
-        dataclasses.replace(first, adjoined_var=second.adjoined_var),
-        dataclasses.replace(second, adjoined_var=first.adjoined_var),
+        ColonSummand(first.ring_vars, first.ideal, second.adjoined_var),
+        ColonSummand(second.ring_vars, second.ideal, first.adjoined_var),
         *rest,
     ]
 
@@ -352,7 +351,7 @@ def test_verify_sees_supports_past_degree_four(monkeypatch):
     first = real[0]
     cut = next(s for s in standard_supports(first.ideal) if s.bit_count() == 4)
     smaller = MonomialIdeal.create(first.ideal.ambient_vars, [*first.ideal.generators, cut])
-    broken = [dataclasses.replace(first, ideal=smaller), *real[1:]]
+    broken = [ColonSummand(first.ring_vars, smaller, first.adjoined_var), *real[1:]]
     monkeypatch.setattr(ideals_module, "colon_decomposition", lambda *args, **kw: broken)
     assert not verify_colon_decomposition(g, pivot)
 
